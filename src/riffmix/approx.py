@@ -259,14 +259,6 @@ def descent_moments(
     return DescentMoments(n, mean, variance)
 
 
-def descent_mean(d1: Deck, d2: Deck) -> Fraction:
-    return descent_moments(d1, d2).mean
-
-
-def descent_variance(d1: Deck, d2: Deck) -> Fraction:
-    return descent_moments(d1, d2).variance
-
-
 # ---------------------------------------------------------------------------
 # Normal-curve coefficient estimates
 

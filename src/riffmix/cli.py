@@ -34,7 +34,7 @@ from .descentpoly import (
     exact_descent_polynomial,
     mc_descent_histogram,
 )
-from .errors import DegenerateDistributionError, RiffmixError
+from .errors import RiffmixError
 from .hardness import (
     MatchingInstance,
     MinCutsInstance,
@@ -60,8 +60,8 @@ from .rng import substream, PURPOSE_INSTANCE_GEN
 from .tvd import (
     bayer_diaconis_tvd,
     custom_scenario,
-    exact_tvd_small,
-    mc_tvd,
+    exact_tvd_curve,
+    mc_tvd_curve,
     riffles_to_packets,
     scenario,
     scenario_names,
@@ -218,58 +218,55 @@ def _resolve_scenario(args: argparse.Namespace):
 def cmd_tvd(args: argparse.Namespace) -> int:
     s = _resolve_scenario(args)
     window = _parse_window(args.window) if args.window else None
-    rows = []
-    for k in _parse_range(args.shuffles):
-        a = riffles_to_packets(k)
-        if args.method == "exact":
-            val = exact_tvd_small(
-                s,
-                a,
-                arrangement_cap=args.arrangement_cap,
-                transition_cap=args.transition_cap,
-            )
-            rows.append(
-                ResultRow(
-                    scenario=s.name,
-                    shuffles=k,
-                    method="exact",
-                    value=float(val),
-                )
-            )
-            continue
-        backend = {
-            "mc-exact": "exact-oracle",
-            "mc-hist": "mc-histogram",
-            "mc-normal": "normal-approx",
-        }[args.method]
-        est = mc_tvd(
+    shuffles = _parse_range(args.shuffles)
+    packets = [riffles_to_packets(k) for k in shuffles]
+    if args.method == "exact":
+        values = exact_tvd_curve(
             s,
-            a,
-            k=args.k,
-            seed=args.seed,
-            backend=backend,
+            packets,
+            arrangement_cap=args.arrangement_cap,
             transition_cap=args.transition_cap,
-            hist_samples=args.hist_samples,
-            extrapolate=args.extrapolate,
-            fit_degree=args.fit_degree,
-            min_count=args.min_count,
-            window=window,
-            cache_dir=args.cache_dir,
-            threads=args.threads,
         )
-        rows.append(
-            ResultRow(
-                scenario=s.name,
-                shuffles=k,
-                method=est.method,
-                value=est.value,
-                k=est.k,
-                l=est.hist_samples,
-                seed=est.seed,
-                err96=est.alpha_bounds[0][1],
-                err999996=est.alpha_bounds[1][1],
-            )
+        rows = [
+            ResultRow(scenario=s.name, shuffles=k, method="exact", value=float(v))
+            for k, v in zip(shuffles, values)
+        ]
+        _emit_rows(rows, args.format)
+        return 0
+    backend = {
+        "mc-exact": "exact-oracle",
+        "mc-hist": "mc-histogram",
+        "mc-normal": "normal-approx",
+    }[args.method]
+    estimates = mc_tvd_curve(
+        s,
+        packets,
+        k=args.k,
+        seed=args.seed,
+        backend=backend,
+        transition_cap=args.transition_cap,
+        hist_samples=args.hist_samples,
+        extrapolate=args.extrapolate,
+        fit_degree=args.fit_degree,
+        min_count=args.min_count,
+        window=window,
+        cache_dir=args.cache_dir,
+        threads=args.threads,
+    )
+    rows = [
+        ResultRow(
+            scenario=s.name,
+            shuffles=k,
+            method=est.method,
+            value=est.value,
+            k=est.k,
+            l=est.hist_samples,
+            seed=est.seed,
+            err96=est.alpha_bounds[0][1],
+            err999996=est.alpha_bounds[1][1],
         )
+        for k, est in zip(shuffles, estimates)
+    ]
     _emit_rows(rows, args.format)
     return 0
 
@@ -643,9 +640,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateDistributionError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
     except RiffmixError as exc:
         print(str(exc), file=sys.stderr)
         return 3

@@ -5,7 +5,7 @@ carrying `d1` onto `d2` by descent count.  The coefficient vector
 `c[d] = #permutations with d descents` determines the chance that an
 `a`-way shuffle turns `d1` into `d2` for every `a` at once:
 
-    P(a) = sum_d c[d] * binomial(a + n - d - 1, n) / a^n
+    P(a) = sum_d c[d] * w[d] / a^n,   w = shuffle_weights(n, a)
 
 Exact coefficients come from exhaustive enumeration (vectorized when the
 transition set is large); estimated coefficients come from uniform
@@ -32,11 +32,16 @@ from .rng import PURPOSE_HISTOGRAM, STREAMS, quotas, substream
 # Transition sets at or below this size are enumerated in pure Python;
 # larger ones go through the vectorized engine.
 _PLAIN_ENUM_MAX = 200_000
-# Per-label permutation tables are materialized up to this multiplicity.
+# Per-label permutation tables are materialized up to this multiplicity
+# when enumerating, and up to the second one when sampling; larger labels
+# are sampled by an argsort of random keys instead.
 _TABLE_MAX_MULT = 9
+_SAMPLE_TABLE_MAX_MULT = 7
 # Permutation sweeps over all n! position maps are allowed up to this n.
 _SWEEP_MAX_N = 10
 _CHUNK = 1 << 19
+# Enumerated descent counts are tallied in 64-bit integers.
+_COUNT_MAX = 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +102,162 @@ class DescentHistogram:
         return None if c == 0 else 1.0 / math.sqrt(c)
 
 
+def shuffle_weights(n: int, a: int) -> tuple[tuple[int, ...], int]:
+    """Integer weights C(a+n-d-1, n) for d = 0..n-1, and the denominator
+    a^n, of the shuffle probability formula at packet count `a`.
+
+    The weight of degree `d` counts the digit sequences realizing one
+    permutation with `d` descents, so it vanishes exactly when d >= a.
+    """
+    if a < 1:
+        raise ValueError("packet count must be at least 1")
+    return tuple(math.comb(a + n - d - 1, n) for d in range(n)), a**n
+
+
 def probability_from_coefficients(
     coefficients: tuple[int, ...] | list, a: int
 ) -> Fraction:
     """Evaluate the shuffle probability formula at packet count `a`."""
-    if a < 1:
-        raise ValueError("packet count must be at least 1")
-    n = len(coefficients)
-    num = 0
-    for d, c in enumerate(coefficients):
-        if c:
-            num += c * math.comb(a + n - d - 1, n)
-    return Fraction(num, a**n)
+    weights, denom = shuffle_weights(len(coefficients), a)
+    return Fraction(sum(c * w for c, w in zip(coefficients, weights) if c), denom)
+
+
+# ---------------------------------------------------------------------------
+# Per-label tables, shared by enumeration and sampling
+
+
+class _LabelTables:
+    """Per-label structure of one pair's transition set.
+
+    A member of the transition set picks, for each label, one bijection
+    from the label's source slots onto its target positions: one row of
+    that label's permutation table, built when the label has at most
+    `max_mult` cards.  When every label has a table (`complete`), the
+    descents of a member need only those row indices: descents inside
+    runs of one label are a per-row lookup (`runs`), and only boundaries
+    between different labels need a comparison (`mixed`).  Enumeration
+    feeds it mixed-radix row indices, sampling feeds it random rows.
+    """
+
+    def __init__(self, d1: Deck, d2: Deck, max_mult: int):
+        self.n = d1.n
+        cards = d1.cards
+        src_pos = label_positions(d1)
+        tgt_pos = label_positions(d2)
+        self.labels = list(src_pos)
+        self.slots = {
+            lab: np.array(src_pos[lab], dtype=np.int64) - 1
+            for lab in self.labels
+        }
+        self.targets = {
+            lab: np.array(sorted(tgt_pos[lab]), dtype=np.int16) - 1
+            for lab in self.labels
+        }
+        self.tables = {
+            lab: np.array(
+                list(itertools.permutations(tgt.tolist())), dtype=np.int16
+            )
+            for lab, tgt in self.targets.items()
+            if len(tgt) <= max_mult
+        }
+        self.complete = len(self.tables) == len(self.labels)
+        if not self.complete:
+            return
+        slot_of = {}
+        seen: dict[int, int] = {}
+        for i, c in enumerate(cards):
+            slot_of[i] = seen.get(c, 0)
+            seen[c] = slot_of[i] + 1
+        dtab = {
+            lab: np.zeros(len(self.tables[lab]), dtype=np.int16)
+            for lab in self.labels
+        }
+        self.mixed: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+        for i in range(self.n - 1):
+            ci, cj = cards[i], cards[i + 1]
+            qi, qj = slot_of[i], slot_of[i + 1]
+            if ci == cj:
+                t = self.tables[ci]
+                dtab[ci] += t[:, qi] > t[:, qj]
+            else:
+                self.mixed.append(
+                    (
+                        ci,
+                        cj,
+                        np.ascontiguousarray(self.tables[ci][:, qi]),
+                        np.ascontiguousarray(self.tables[cj][:, qj]),
+                    )
+                )
+        # Labels with no adjacent source slots add nothing.
+        self.runs = [(lab, tab) for lab, tab in dtab.items() if tab.any()]
+
+    def distinct_rows(self) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
+        """Per label, the first row of each group of table rows that agree
+        in every column `descents` reads, and the size of each group (None
+        when every group is a single row)."""
+        cols: dict[int, list[np.ndarray]] = {lab: [] for lab in self.labels}
+        for lab, tab in self.runs:
+            cols[lab].append(tab)
+        for ci, cj, left, right in self.mixed:
+            cols[ci].append(left)
+            cols[cj].append(right)
+        out = {}
+        for lab, read in cols.items():
+            size = len(self.tables[lab])
+            if not read:  # only in a one-card deck
+                out[lab] = (np.zeros(1, dtype=np.int64), np.array([size]))
+                continue
+            _, first, mult = np.unique(
+                np.stack(read, axis=1),
+                axis=0,
+                return_index=True,
+                return_counts=True,
+            )
+            if len(first) == size:
+                first, mult = np.arange(size), None
+            out[lab] = (first, mult)
+        return out
+
+    def descents(self, rows: dict[int, np.ndarray], size: int) -> np.ndarray:
+        """Descent counts of the members picking `rows[lab]` per label."""
+        des = np.zeros(size, dtype=np.int16)
+        for lab, tab in self.runs:
+            des += tab[rows[lab]]
+        for ci, cj, left, right in self.mixed:
+            des += left[rows[ci]] > right[rows[cj]]
+        return des
+
+    def sample_counts(self, quota: int, gen: np.random.Generator) -> np.ndarray:
+        """Descent histogram of `quota` uniform members of the set.
+
+        Without a table for every label, samples build the full image
+        matrix, drawing an argsort of random keys for each large label.
+        """
+        counts = np.zeros(self.n, dtype=np.int64)
+        batch = 1 << 16
+        done = 0
+        while done < quota:
+            b = min(batch, quota - done)
+            if self.complete:
+                rows = {
+                    lab: gen.integers(0, len(self.tables[lab]), size=b)
+                    for lab in self.labels
+                }
+                des = self.descents(rows, b)
+            else:
+                img = np.empty((b, self.n), dtype=np.int16)
+                for lab in self.labels:
+                    table = self.tables.get(lab)
+                    if table is not None:
+                        picks = table[gen.integers(0, len(table), size=b)]
+                    else:
+                        keys = gen.random((b, len(self.targets[lab])))
+                        picks = self.targets[lab][np.argsort(keys, axis=1)]
+                    img[:, self.slots[lab]] = picks
+                des = (img[:, :-1] > img[:, 1:]).sum(axis=1)
+            counts += np.bincount(des, minlength=self.n)
+            done += b
+        return counts
 
 
 # ---------------------------------------------------------------------------
@@ -142,81 +291,41 @@ def _counts_plain(d1: Deck, d2: Deck) -> list[int]:
 def _counts_vectorized(d1: Deck, d2: Deck) -> list[int]:
     """Tally descents over a large transition set in batches.
 
-    Members are indexed in mixed radix over per-label bijections.  Runs
-    of equal labels contribute precomputed per-table descent counts, so
-    each batch only gathers per label plus one comparison per boundary
-    between different labels.
+    Table rows that `_LabelTables.descents` cannot tell apart are merged
+    first.  Members are then indexed in mixed radix over the distinct
+    rows per label (the last label varies fastest), each weighted by the
+    number of members it stands for.
     """
     n = d1.n
-    cards = d1.cards
-    src_pos = label_positions(d1)
-    tgt_pos = label_positions(d2)
-    labels = list(src_pos)
-    # Permutation tables of 0-based target positions, one per label.
-    tables: dict[int, np.ndarray] = {}
-    for lab in labels:
-        tgt = [p - 1 for p in tgt_pos[lab]]
-        tables[lab] = np.array(
-            list(itertools.permutations(tgt)), dtype=np.int16
-        )
-    fact = {lab: len(tables[lab]) for lab in labels}
-    # Slot index of each source position within its label class.
-    slot_of = {}
-    seen: dict[int, int] = {}
-    for i, c in enumerate(cards):
-        slot_of[i] = seen.get(c, 0)
-        seen[c] = slot_of[i] + 1
-    # Descents inside runs of one label depend only on that label's row.
-    dtab = {lab: np.zeros(fact[lab], dtype=np.int16) for lab in labels}
-    mixed: list[tuple[np.ndarray, np.ndarray]] = []
-    for i in range(n - 1):
-        ci, cj = cards[i], cards[i + 1]
-        qi, qj = slot_of[i], slot_of[i + 1]
-        if ci == cj:
-            t = tables[ci]
-            dtab[ci] += t[:, qi] > t[:, qj]
-        else:
-            left = np.ascontiguousarray(tables[ci][:, qi])
-            right = np.ascontiguousarray(tables[cj][:, qj])
-            mixed.append((left, right))
-    # Which label index feeds each comparison column.
-    mixed_labels = [
-        (cards[i], cards[i + 1])
-        for i in range(n - 1)
-        if cards[i] != cards[i + 1]
-    ]
-    total = 1
-    for lab in labels:
-        total *= fact[lab]
+    tables = _LabelTables(d1, d2, _TABLE_MAX_MULT)
+    groups = tables.distinct_rows()
+    radix = [(lab, *groups[lab]) for lab in reversed(tables.labels)]
+    total = math.prod(len(first) for _, first, _ in radix)
     counts = np.zeros(n, dtype=np.int64)
-    start = 0
-    while start < total:
+    for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        rem = idx
-        per_label: dict[int, np.ndarray] = {}
-        for lab in reversed(labels):
-            per_label[lab] = rem % fact[lab]
-            rem = rem // fact[lab]
-        des = np.zeros(stop - start, dtype=np.int16)
-        for lab in labels:
-            if fact[lab] > 1:
-                des += dtab[lab][per_label[lab]]
-            elif dtab[lab][0]:
-                des += dtab[lab][0]
-        for (left, right), (ci, cj) in zip(mixed, mixed_labels):
-            des += left[per_label[ci]] > right[per_label[cj]]
-        counts += np.bincount(des, minlength=n)
-        start = stop
+        rem = np.arange(start, stop, dtype=np.int64)
+        rows: dict[int, np.ndarray] = {}
+        weight: int | np.ndarray = 1
+        for lab, first, mult in radix:
+            pick = rem % len(first)
+            rem = rem // len(first)
+            if mult is None:
+                rows[lab] = pick
+            else:
+                rows[lab] = first[pick]
+                weight = weight * mult[pick]
+        np.add.at(counts, tables.descents(rows, stop - start), weight)
     return [int(c) for c in counts]
 
 
 @lru_cache(maxsize=4096)
 def _exact_polynomial_cached(d1: Deck, d2: Deck, cap: int) -> DescentPolynomial:
     card = transition_cardinality(d1, d2)
-    if card > cap:
+    if card > min(cap, _COUNT_MAX):
         raise CapExceededError(
-            f"transition set has {card} elements, above the cap of {cap}"
+            f"transition set has {card} elements, above the cap of "
+            f"{min(cap, _COUNT_MAX)}"
         )
     if card <= _PLAIN_ENUM_MAX or max(d1.counts.values()) > _TABLE_MAX_MULT:
         counts = _counts_plain(d1, d2)
@@ -236,13 +345,6 @@ def exact_descent_polynomial(
     are free.
     """
     return _exact_polynomial_cached(d1, d2, cap)
-
-
-def transition_probability(
-    d1: Deck, d2: Deck, a: int, cap: int = 10**8
-) -> Fraction:
-    """Exact chance that an `a`-way shuffle carries `d1` onto `d2`."""
-    return exact_descent_polynomial(d1, d2, cap=cap).probability(a)
 
 
 # ---------------------------------------------------------------------------
@@ -459,98 +561,6 @@ def digit_transition_counts(
 # Sampled histograms
 
 
-class _SamplePlan:
-    """Precomputed structure for uniform transition sampling of one pair.
-
-    When every label is small enough to enumerate its bijections, each
-    sample reduces to one table row index per label; descents inside
-    same-label runs are then a per-table lookup and only boundaries
-    between different labels need comparisons.  Otherwise samples build
-    the full image matrix.
-    """
-
-    def __init__(self, d1: Deck, d2: Deck):
-        self.n = d1.n
-        cards = d1.cards
-        src_pos = label_positions(d1)
-        tgt_pos = label_positions(d2)
-        self.labels = list(src_pos)
-        self.slots = {
-            lab: np.array(src_pos[lab], dtype=np.int64) - 1
-            for lab in self.labels
-        }
-        self.targets = {
-            lab: np.array(sorted(tgt_pos[lab]), dtype=np.int16) - 1
-            for lab in self.labels
-        }
-        self.tables = {}
-        for lab in self.labels:
-            if len(self.targets[lab]) <= 7:
-                self.tables[lab] = np.array(
-                    list(itertools.permutations(self.targets[lab])),
-                    dtype=np.int16,
-                )
-        self.fast = len(self.tables) == len(self.labels)
-        if not self.fast:
-            return
-        slot_of = {}
-        seen: dict[int, int] = {}
-        for i, c in enumerate(cards):
-            slot_of[i] = seen.get(c, 0)
-            seen[c] = slot_of[i] + 1
-        self.dtab = {
-            lab: np.zeros(len(self.tables[lab]), dtype=np.int16)
-            for lab in self.labels
-        }
-        self.mixed: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-        for i in range(self.n - 1):
-            ci, cj = cards[i], cards[i + 1]
-            qi, qj = slot_of[i], slot_of[i + 1]
-            if ci == cj:
-                t = self.tables[ci]
-                self.dtab[ci] += t[:, qi] > t[:, qj]
-            else:
-                self.mixed.append(
-                    (
-                        ci,
-                        cj,
-                        np.ascontiguousarray(self.tables[ci][:, qi]),
-                        np.ascontiguousarray(self.tables[cj][:, qj]),
-                    )
-                )
-
-    def stream_counts(self, quota: int, gen: np.random.Generator) -> np.ndarray:
-        counts = np.zeros(self.n, dtype=np.int64)
-        batch = 1 << 16
-        done = 0
-        while done < quota:
-            b = min(batch, quota - done)
-            if self.fast:
-                rows = {
-                    lab: gen.integers(0, len(self.tables[lab]), size=b)
-                    for lab in self.labels
-                }
-                des = np.zeros(b, dtype=np.int16)
-                for lab in self.labels:
-                    des += self.dtab[lab][rows[lab]]
-                for ci, cj, left, right in self.mixed:
-                    des += left[rows[ci]] > right[rows[cj]]
-            else:
-                img = np.empty((b, self.n), dtype=np.int16)
-                for lab in self.labels:
-                    table = self.tables.get(lab)
-                    if table is not None:
-                        picks = table[gen.integers(0, len(table), size=b)]
-                    else:
-                        keys = gen.random((b, len(self.targets[lab])))
-                        picks = self.targets[lab][np.argsort(keys, axis=1)]
-                    img[:, self.slots[lab]] = picks
-                des = (img[:, :-1] > img[:, 1:]).sum(axis=1)
-            counts += np.bincount(des, minlength=self.n)
-            done += b
-        return counts
-
-
 def mc_descent_histogram(
     d1: Deck,
     d2: Deck,
@@ -587,13 +597,13 @@ def mc_descent_histogram(
             counts = np.array(stored, dtype=np.int64)
             first_stream = completed
     per_stream = quotas(samples, streams)
-    plan = _SamplePlan(d1, d2)
+    tables = _LabelTables(d1, d2, _SAMPLE_TABLE_MAX_MULT)
 
     def run(s: int) -> np.ndarray:
         if per_stream[s] == 0:
             return np.zeros(n, dtype=np.int64)
         gen = substream(seed, PURPOSE_HISTOGRAM, s)
-        return plan.stream_counts(per_stream[s], gen)
+        return tables.sample_counts(per_stream[s], gen)
 
     step = checkpoint_every or streams
     s = first_stream
@@ -615,11 +625,6 @@ def mc_descent_histogram(
     )
 
 
-def histogram_to_polynomial(hist: DescentHistogram) -> tuple[Fraction, ...]:
-    """Scaled coefficient estimates from a sampled histogram."""
-    return hist.coefficient_estimates()
-
-
 # ---------------------------------------------------------------------------
 # Inverting probabilities back to coefficients
 
@@ -639,9 +644,10 @@ def probabilities_to_polynomial(
         raise ValueError(f"need probabilities for a = 1..{n}")
     coeffs: list[int] = []
     for a in range(1, n + 1):
-        val = Fraction(probabilities[a - 1]) * a**n
+        weights, denom = shuffle_weights(n, a)
+        val = Fraction(probabilities[a - 1]) * denom
         for d in range(a - 1):
-            val -= coeffs[d] * math.comb(a + n - d - 1, n)
+            val -= coeffs[d] * weights[d]
         if val.denominator != 1 or val < 0:
             raise InconsistentProbabilitiesError(
                 f"degree {a - 1} coefficient resolves to {val}"
@@ -677,13 +683,9 @@ def descent_distribution_under_a_shuffle(
     n: int, a: int
 ) -> tuple[Fraction, ...]:
     """Distribution of the descent count of a random `a`-way shuffle."""
-    if a < 1:
-        raise ValueError("packet count must be at least 1")
-    row = eulerian_row(n)
-    denom = a**n
+    weights, denom = shuffle_weights(n, a)
     return tuple(
-        Fraction(row[d] * math.comb(a + n - d - 1, n), denom)
-        for d in range(n)
+        Fraction(c * w, denom) for c, w in zip(eulerian_row(n), weights)
     )
 
 
@@ -697,9 +699,8 @@ __all__ = [
     "eulerian_row",
     "exact_descent_polynomial",
     "family_as_dict",
-    "histogram_to_polynomial",
     "mc_descent_histogram",
     "probabilities_to_polynomial",
     "probability_from_coefficients",
-    "transition_probability",
+    "shuffle_weights",
 ]

@@ -11,13 +11,13 @@ corresponds to `k` successive two-packet riffles.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from .deck import Permutation, descents
+from .descentpoly import shuffle_weights
 from .rng import PURPOSE_TRANSITION_SAMPLE, substream
 
 
@@ -67,21 +67,9 @@ def sample_a_shuffle(
 def permutation_probability(p: Permutation, a: int) -> Fraction:
     """Chance that a random `a`-way shuffle realizes exactly `p`.
 
-    Depends on `p` only through its descent count `d` and equals
-    binomial(a + n - d - 1, n) / a^n; in particular it vanishes
+    Depends on `p` only through its descent count `d`: it is the
+    degree-`d` weight of `shuffle_weights` over a^n, and vanishes
     exactly when `d >= a`.
     """
-    if a < 1:
-        raise ValueError("packet count must be at least 1")
-    n = p.n
-    d = descents(p)
-    return Fraction(math.comb(a + n - d - 1, n), a**n)
-
-
-def min_cuts(p: Permutation) -> int:
-    """Fewest cut points needed to realize `p` as a single interleaving.
-
-    Equals the descent count; the deck must be cut into at least one more
-    packet than this.
-    """
-    return descents(p)
+    weights, denom = shuffle_weights(p.n, a)
+    return Fraction(weights[descents(p)], denom)

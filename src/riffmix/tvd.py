@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +50,7 @@ from .descentpoly import (
     exact_descent_polynomial,
     mc_descent_histogram,
     probability_from_coefficients,
+    shuffle_weights,
 )
 from .errors import CapExceededError
 from .rng import PURPOSE_TVD, STREAMS, KahanSum, quotas, substream
@@ -139,17 +142,60 @@ def bayer_diaconis_tvd(n: int, shuffles: int) -> Fraction:
     `shuffles` riffles, via the closed form over descent counts."""
     if n < 1:
         raise ValueError("need at least one card")
-    a = riffles_to_packets(shuffles)
-    row = eulerian_row(n)
+    weights, denom = shuffle_weights(n, riffles_to_packets(shuffles))
     fact = math.factorial(n)
-    denom = a**n
-    total = Fraction(0)
-    uniform = Fraction(1, fact)
-    for d in range(n):
-        p = Fraction(math.comb(a + n - d - 1, n), denom)
-        if uniform > p:
-            total += row[d] * (uniform - p)
-    return total
+    excess = sum(
+        c * max(0, denom - fact * w) for c, w in zip(eulerian_row(n), weights)
+    )
+    return Fraction(excess, fact * denom)
+
+
+def exact_tvd_curve(
+    s: Scenario,
+    packets: Sequence[int],
+    arrangement_cap: int = 10**6,
+    transition_cap: int = 10**8,
+) -> list[Fraction]:
+    """Sum the distance exactly over every arrangement, at each packet
+    count in `packets`.
+
+    Uses a single permutation sweep when the anchor is small enough,
+    falling back to per-arrangement enumeration; either way each
+    arrangement's coefficients are found once for all packet counts.
+    Raises `CapExceededError` when the arrangement count exceeds
+    `arrangement_cap` or a transition set exceeds `transition_cap`.
+    """
+    n = s.anchor.n
+    weighted = [shuffle_weights(n, a) for a in packets]
+    count = s.arrangements
+    if count > arrangement_cap:
+        raise CapExceededError(
+            f"scenario has {count} arrangements, above the cap of {arrangement_cap}"
+        )
+    role = "source" if s.kind == FIXED_SOURCE else "target"
+    rows: Iterable[Sequence[int]]
+    if n <= 10 and math.factorial(n) <= transition_cap:
+        family = descent_polynomial_family(s.anchor, role=role, cap=transition_cap)
+        if len(family.codes) != count:
+            raise ArithmeticError(
+                "sweep row count disagrees with arrangement count; this is a bug"
+            )
+        rows = family.counts.tolist()
+    else:
+        rows = (
+            exact_descent_polynomial(*s.pair(c), cap=transition_cap).coefficients
+            for c in enumerate_arrangements(s.anchor, cap=arrangement_cap)
+        )
+    # 1/N - num/a^n is (a^n - N*num) / (N*a^n): sum the integer numerators.
+    excess = [0] * len(weighted)
+    for row in rows:
+        for i, (weights, denom) in enumerate(weighted):
+            gap = denom - count * sum(map(operator.mul, row, weights))
+            if gap > 0:
+                excess[i] += gap
+    return [
+        Fraction(e, count * denom) for e, (_, denom) in zip(excess, weighted)
+    ]
 
 
 def exact_tvd_small(
@@ -158,47 +204,8 @@ def exact_tvd_small(
     arrangement_cap: int = 10**6,
     transition_cap: int = 10**8,
 ) -> Fraction:
-    """Sum the distance exactly over every arrangement.
-
-    Uses a single permutation sweep when the anchor is small enough,
-    falling back to per-arrangement enumeration.  Raises
-    `CapExceededError` when the arrangement count exceeds
-    `arrangement_cap` or a transition set exceeds `transition_cap`.
-    """
-    if a < 1:
-        raise ValueError("packet count must be at least 1")
-    count = s.arrangements
-    if count > arrangement_cap:
-        raise CapExceededError(
-            f"scenario has {count} arrangements, above the cap of {arrangement_cap}"
-        )
-    uniform = Fraction(1, count)
-    total = Fraction(0)
-    n = s.anchor.n
-    role = "source" if s.kind == FIXED_SOURCE else "target"
-    if n <= 10 and math.factorial(n) <= transition_cap:
-        family = descent_polynomial_family(s.anchor, role=role, cap=transition_cap)
-        if len(family.codes) != count:
-            raise ArithmeticError(
-                "sweep row count disagrees with arrangement count; this is a bug"
-            )
-        denom = a**n
-        for r in range(len(family.codes)):
-            num = 0
-            for d in range(n):
-                c = int(family.counts[r, d])
-                if c:
-                    num += c * math.comb(a + n - d - 1, n)
-            p = Fraction(num, denom)
-            if uniform > p:
-                total += uniform - p
-        return total
-    for counterpart in enumerate_arrangements(s.anchor, cap=arrangement_cap):
-        d1, d2 = s.pair(counterpart)
-        p = exact_descent_polynomial(d1, d2, cap=transition_cap).probability(a)
-        if uniform > p:
-            total += uniform - p
-    return total
+    """`exact_tvd_curve` at the single packet count `a`."""
+    return exact_tvd_curve(s, [a], arrangement_cap, transition_cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -234,127 +241,187 @@ def _deck_fingerprint(deck: Deck) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class _ExactBackend:
-    """Per-arrangement terms from exact transition polynomials."""
-
-    name = "mc-exact-backend"
-
-    def __init__(self, s: Scenario, a: int, transition_cap: int):
-        self.s = s
-        self.a = a
-        self.cap = transition_cap
-        self.uniform_scale = s.arrangements
-
-    def term(self, counterpart: Deck) -> float:
-        d1, d2 = self.s.pair(counterpart)
-        p = exact_descent_polynomial(d1, d2, cap=self.cap).probability(self.a)
-        val = 1 - self.uniform_scale * p
-        return float(val) if val > 0 else 0.0
+def _exact_coefficients(
+    s: Scenario, counterpart: Deck, transition_cap: int
+) -> tuple[int, ...]:
+    """Exact transition polynomial (small decks only)."""
+    d1, d2 = s.pair(counterpart)
+    return exact_descent_polynomial(d1, d2, cap=transition_cap).coefficients
 
 
-class _HistogramBackend:
-    """Per-arrangement terms from sampled histograms, optionally patched
-    with a tail fit where the histogram is unreliable."""
+def _histogram_coefficients(
+    s: Scenario,
+    counterpart: Deck,
+    seed: int,
+    hist_samples: int,
+    extrapolate: bool,
+    fit_degree: int,
+    min_count: int,
+    window: tuple[int, int] | None,
+    cache_dir: str | Path | None,
+    threads: int,
+) -> tuple[Fraction, ...] | tuple[float, ...]:
+    """Coefficient estimates from a sampled histogram, seeded by the
+    arrangement itself; with `extrapolate`, degrees outside the fit
+    window with fewer than `min_count` samples take the tail fit."""
+    d1, d2 = s.pair(counterpart)
+    hist_seed = (_deck_fingerprint(counterpart) ^ seed) & ((1 << 63) - 1)
+    hist = mc_descent_histogram(
+        d1,
+        d2,
+        samples=hist_samples,
+        seed=hist_seed,
+        cache_dir=cache_dir,
+        threads=threads,
+    )
+    estimates = hist.coefficient_estimates()
+    if not extrapolate:
+        return estimates
+    fit = tail_extrapolate(
+        hist, degree=fit_degree, min_count=min_count, window=window
+    )
+    lo, hi = fit.window
+    return tuple(
+        float(e) if lo <= d <= hi or hist.counts[d] >= min_count else fit.predict(d)
+        for d, e in enumerate(estimates)
+    )
 
-    name = "mc-histogram"
 
-    def __init__(
-        self,
-        s: Scenario,
-        a: int,
-        seed: int,
-        hist_samples: int,
-        extrapolate: bool,
-        fit_degree: int,
-        min_count: int,
-        window: tuple[int, int] | None,
-        cache_dir: str | Path | None,
-        threads: int,
-    ):
-        self.s = s
-        self.a = a
-        self.seed = seed
-        self.hist_samples = hist_samples
-        self.extrapolate = extrapolate
-        self.fit_degree = fit_degree
-        self.min_count = min_count
-        self.window = window
-        self.cache_dir = cache_dir
-        self.threads = threads
-
-    def term(self, counterpart: Deck) -> float:
-        d1, d2 = self.s.pair(counterpart)
-        hist_seed = (_deck_fingerprint(counterpart) ^ self.seed) & (
-            (1 << 63) - 1
-        )
-        hist = mc_descent_histogram(
-            d1,
-            d2,
-            samples=self.hist_samples,
-            seed=hist_seed,
-            cache_dir=self.cache_dir,
-            threads=self.threads,
-        )
-        n = hist.n
-        estimates = hist.coefficient_estimates()
-        if self.extrapolate:
-            fit = tail_extrapolate(
-                hist,
-                degree=self.fit_degree,
-                min_count=self.min_count,
-                window=self.window,
+def _normal_coefficients(
+    s: Scenario, counterpart: Deck
+) -> tuple[int, ...] | tuple[float, ...]:
+    """Moment-matched normal curve, or the exact point mass when the
+    descent count is deterministic."""
+    d1, d2 = s.pair(counterpart)
+    moments = descent_moments(d1, d2)
+    m = transition_cardinality(d1, d2)
+    if moments.variance == 0:
+        d = int(moments.mean)
+        if moments.mean != d:
+            raise ArithmeticError(
+                "deterministic descent count is not an integer; this is a bug"
             )
-            lo, hi = fit.window
-            p = 0.0
-            denom = float(self.a) ** n
-            for d in range(n):
-                solid = lo <= d <= hi or hist.counts[d] >= self.min_count
-                c = float(estimates[d]) if solid else fit.predict(d)
-                if c:
-                    p += c * math.comb(self.a + n - d - 1, n) / denom
-            val = 1 - self.s.arrangements * p
-            return val if val > 0 else 0.0
-        p_exact = probability_from_coefficients(
-            [e for e in estimates], self.a
-        )
-        val = 1 - self.s.arrangements * p_exact
-        return float(val) if val > 0 else 0.0
+        return tuple(m if j == d else 0 for j in range(d1.n))
+    return tuple(normal_coefficient_estimate(j, moments, m) for j in range(d1.n))
 
 
-class _NormalBackend:
-    """Per-arrangement terms from moment-matched normal curves."""
+def _term(arrangements: int, p: Fraction | float) -> float:
+    """One arrangement's share max(0, 1 - N * P) of the distance."""
+    val = 1 - arrangements * p
+    return float(val) if val > 0 else 0.0
 
-    name = "normal"
 
-    def __init__(self, s: Scenario, a: int):
-        self.s = s
-        self.a = a
-
-    def term(self, counterpart: Deck) -> float:
-        d1, d2 = self.s.pair(counterpart)
-        moments = descent_moments(d1, d2)
-        m = transition_cardinality(d1, d2)
-        n = d1.n
-        if moments.variance == 0:
-            d = int(moments.mean)
-            if moments.mean != d:
-                raise ArithmeticError(
-                    "deterministic descent count is not an integer; this is a bug"
-                )
-            p = Fraction(m * math.comb(self.a + n - d - 1, n), self.a**n)
-            val = 1 - self.s.arrangements * p
-            return float(val) if val > 0 else 0.0
-        denom = float(self.a) ** n
+def _probabilities(
+    coefficients: Sequence, packets: Sequence[int], ratios: list[list[float]]
+) -> list[Fraction] | list[float]:
+    """P(a) at each packet count.  Vectors of ints or `Fraction`s are
+    evaluated exactly; float vectors are summed in degree order against
+    `ratios`, the weights over a^n of each packet count."""
+    if not isinstance(coefficients[0], float):
+        return [probability_from_coefficients(coefficients, a) for a in packets]
+    out = []
+    for row in ratios:
         p = 0.0
-        for d in range(n):
-            c = normal_coefficient_estimate(d, moments, m)
-            if c:
-                p += c * math.comb(self.a + n - d - 1, n) / denom
-        val = 1 - self.s.arrangements * p
-        return val if val > 0 else 0.0
+        for c, r in zip(coefficients, row):
+            p += c * r
+        out.append(p)
+    return out
 
 
 BACKENDS = ("exact-oracle", "mc-histogram", "normal-approx")
+
+
+def mc_tvd_curve(
+    s: Scenario,
+    packets: Sequence[int],
+    k: int,
+    seed: int,
+    backend: str = "exact-oracle",
+    transition_cap: int = 10**8,
+    hist_samples: int = 10**6,
+    extrapolate: bool = False,
+    fit_degree: int = 4,
+    min_count: int = 400,
+    window: tuple[int, int] | None = None,
+    cache_dir: str | Path | None = None,
+    threads: int = 1,
+) -> list[TvdEstimate]:
+    """Estimate the distance from uniform by sampling `k` arrangements,
+    at each packet count in `packets`.
+
+    The estimator averages max(0, 1 - N * P(arrangement)) over uniform
+    arrangement draws, where P comes from the coefficient vector the
+    chosen backend gives each arrangement:
+
+    - "exact-oracle": exact transition polynomials (small decks only);
+    - "mc-histogram": sampled histograms of size `hist_samples`, with an
+      optional log-scale tail fit when `extrapolate` is set;
+    - "normal-approx": moment-matched normal curves.
+
+    Arrangements are drawn once for all packet counts.  Sampling is split
+    over fixed logical streams and merged in stream order, so the value
+    depends only on the arguments; `threads` only splits the streams of
+    each histogram.  Repeated arrangements reuse their first terms, and
+    histogram seeds are derived from the arrangement itself, so reuse is
+    consistent.
+    """
+    if k < 1:
+        raise ValueError("sample count must be positive")
+    if backend == "exact-oracle":
+        method = "mc-exact-backend"
+        coefficients = partial(_exact_coefficients, transition_cap=transition_cap)
+    elif backend == "mc-histogram":
+        method = backend
+        coefficients = partial(
+            _histogram_coefficients,
+            seed=seed,
+            hist_samples=hist_samples,
+            extrapolate=extrapolate,
+            fit_degree=fit_degree,
+            min_count=min_count,
+            window=window,
+            cache_dir=cache_dir,
+            threads=threads,
+        )
+    elif backend == "normal-approx":
+        method = "normal"
+        coefficients = _normal_coefficients
+    else:
+        raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
+    ratios = [
+        [w / denom for w in weights]
+        for weights, denom in (shuffle_weights(s.anchor.n, a) for a in packets)
+    ]
+    count = s.arrangements
+    memo: dict[tuple[int, ...], list[float]] = {}
+    totals = [KahanSum() for _ in packets]
+    for idx, quota in enumerate(quotas(k, STREAMS)):
+        parts = [KahanSum() for _ in packets]
+        if quota:
+            gen = substream(seed, PURPOSE_TVD, idx)
+        for _ in range(quota):
+            counterpart = sample_uniform_rearrangement(s.anchor, gen)
+            terms = memo.get(counterpart.cards)
+            if terms is None:
+                probs = _probabilities(coefficients(s, counterpart), packets, ratios)
+                terms = memo[counterpart.cards] = [_term(count, p) for p in probs]
+            for part, val in zip(parts, terms):
+                part.add(val)
+        for total, part in zip(totals, parts):
+            total.add(part.total)
+    return [
+        TvdEstimate(
+            scenario=s.name,
+            method=method,
+            a=a,
+            value=total.total / k,
+            k=k,
+            seed=seed,
+            alpha_bounds=_alpha_bounds(k),
+            hist_samples=hist_samples if backend == "mc-histogram" else None,
+        )
+        for a, total in zip(packets, totals)
+    ]
 
 
 def mc_tvd(
@@ -372,76 +439,8 @@ def mc_tvd(
     cache_dir: str | Path | None = None,
     threads: int = 1,
 ) -> TvdEstimate:
-    """Estimate the distance from uniform by sampling `k` arrangements.
-
-    The estimator averages max(0, 1 - N * P(arrangement)) over uniform
-    arrangement draws, where P comes from the chosen backend:
-
-    - "exact-oracle": exact transition polynomials (small decks only);
-    - "mc-histogram": sampled histograms of size `hist_samples`, with an
-      optional log-scale tail fit when `extrapolate` is set;
-    - "normal-approx": moment-matched normal curves.
-
-    Sampling is split over fixed logical streams and merged in stream
-    order, so the value depends only on the arguments, not on `threads`.
-    Repeated arrangements reuse their first term, and histogram seeds are
-    derived from the arrangement itself, so reuse is consistent.
-    """
-    if k < 1:
-        raise ValueError("sample count must be positive")
-    if backend == "exact-oracle":
-        impl = _ExactBackend(s, a, transition_cap)
-    elif backend == "mc-histogram":
-        impl = _HistogramBackend(
-            s,
-            a,
-            seed,
-            hist_samples,
-            extrapolate,
-            fit_degree,
-            min_count,
-            window,
-            cache_dir,
-            threads,
-        )
-    elif backend == "normal-approx":
-        impl = _NormalBackend(s, a)
-    else:
-        raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
-    memo: dict[tuple[int, ...], float] = {}
-
-    def stream_sum(idx: int, quota: int) -> KahanSum:
-        acc = KahanSum()
-        if quota == 0:
-            return acc
-        gen = substream(seed, PURPOSE_TVD, idx)
-        for _ in range(quota):
-            counterpart = sample_uniform_rearrangement(s.anchor, gen)
-            key = counterpart.cards
-            val = memo.get(key)
-            if val is None:
-                val = impl.term(counterpart)
-                memo[key] = val
-            acc.add(val)
-        return acc
-
-    per_stream = quotas(k, STREAMS)
-    sums: list[KahanSum]
-    if threads > 1 and backend != "mc-histogram":
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(stream_sum, range(STREAMS), per_stream))
-    else:
-        sums = [stream_sum(i, q) for i, q in enumerate(per_stream)]
-    total = KahanSum()
-    for part in sums:
-        total.add(part.total)
-    return TvdEstimate(
-        scenario=s.name,
-        method=impl.name,
-        a=a,
-        value=total.total / k,
-        k=k,
-        seed=seed,
-        alpha_bounds=_alpha_bounds(k),
-        hist_samples=hist_samples if backend == "mc-histogram" else None,
-    )
+    """`mc_tvd_curve` at the single packet count `a`."""
+    return mc_tvd_curve(
+        s, [a], k, seed, backend, transition_cap, hist_samples, extrapolate,
+        fit_degree, min_count, window, cache_dir, threads,
+    )[0]

@@ -14,9 +14,7 @@ from riffmix import (
     DescentMoments,
     PairStatistics,
     SignatureMismatchError,
-    descent_mean,
     descent_moments,
-    descent_variance,
     descents,
     enumerate_transitions,
     exact_descent_polynomial,
@@ -94,12 +92,6 @@ class TestMoments:
         assert mom.variance == 0
         (perm,) = enumerate_transitions(d1, d2)
         assert mom.mean == descents(perm)
-
-    def test_wrapper_functions_agree(self):
-        d1, d2 = random_pair("1,1,2,2,3", 13)
-        mom = descent_moments(d1, d2)
-        assert descent_mean(d1, d2) == mom.mean
-        assert descent_variance(d1, d2) == mom.variance
 
     def test_signature_mismatch_rejected(self):
         with pytest.raises(SignatureMismatchError):

@@ -117,6 +117,19 @@ class TestTvd:
         assert row.err999996 == pytest.approx(10 * math.sqrt(10) / math.sqrt(300))
         assert row.k == 300 and row.seed == 5
 
+    def test_normal_estimate_survives_many_shuffles(self, capsys):
+        # a^n passes the float range at 20 riffles of 52 cards.
+        code, out, err = run(
+            capsys,
+            "tvd", "--scenario", "Bridge1", "--method", "mc-normal",
+            "--shuffles", "10..40", "--k", "5",
+        )
+        assert code == 0, err
+        values = [ResultRow.from_csv(line).value for line in csv_body(out)[1]]
+        assert len(values) == 31
+        assert all(x >= y for x, y in zip(values, values[1:]))
+        assert 0 < values[-1] < 1e-9
+
     def test_named_scenario_spelled_loosely(self, capsys):
         code, out, _ = run(
             capsys,

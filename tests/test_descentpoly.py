@@ -18,14 +18,13 @@ from riffmix import (
     eulerian_row,
     exact_descent_polynomial,
     family_as_dict,
-    histogram_to_polynomial,
     mc_descent_histogram,
     parse_deck,
     probabilities_to_polynomial,
     probability_from_coefficients,
     sample_uniform_rearrangement,
     sequence_to_permutation,
-    transition_probability,
+    shuffle_weights,
 )
 from riffmix import cache as cache_mod
 from riffmix.descentpoly import _counts_plain, _counts_vectorized
@@ -105,10 +104,23 @@ def test_exact_polynomial_signature_mismatch():
         exact_descent_polynomial(parse_deck("1,1,2"), parse_deck("1,2,2"))
 
 
+def test_shuffle_weights_match_worpitzky_identity():
+    # sum_d A(n, d) * C(a+n-d-1, n) = a^n: every digit sequence realizes
+    # exactly one permutation.
+    for n in range(1, 9):
+        for a in range(1, 10):
+            weights, denom = shuffle_weights(n, a)
+            assert denom == a**n
+            assert sum(e * w for e, w in zip(eulerian_row(n), weights)) == denom
+            assert all(w == 0 for w in weights[a:])
+    with pytest.raises(ValueError):
+        shuffle_weights(3, 0)
+
+
 def test_transition_probability_wrapper():
     d1 = parse_deck("1,1,2,2")
     d2 = parse_deck("1,2,2,1")
-    assert transition_probability(d1, d2, 2) == Fraction(1, 8)
+    assert exact_descent_polynomial(d1, d2).probability(2) == Fraction(1, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +197,8 @@ def test_digit_counts_match_exact_probability():
             d1, _ = random_pair(gen, n_max=6)
             counts = digit_transition_counts(d1, a)
             for d2, c in counts.items():
-                assert transition_probability(d1, d2, a) == Fraction(c, a**d1.n)
+                p = exact_descent_polynomial(d1, d2).probability(a)
+                assert p == Fraction(c, a**d1.n)
 
 
 def test_digit_counts_cap():
@@ -324,7 +337,6 @@ def test_histogram_estimates_and_gauge():
     d2 = parse_deck("1,2,2,1")
     hist = mc_descent_histogram(d1, d2, 4000, seed=9)
     est = hist.coefficient_estimates()
-    assert est == histogram_to_polynomial(hist)
     assert sum(est) == 4
     assert hist.counts[0] == 0 and hist.relative_gauge(0) is None
     g = hist.relative_gauge(1)

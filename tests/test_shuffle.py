@@ -11,7 +11,6 @@ from riffmix import (
     apply,
     descents,
     identity,
-    min_cuts,
     parse_deck,
     permutation_probability,
     sample_a_shuffle,
@@ -95,15 +94,6 @@ def test_probabilities_sum_to_one():
             for images in itertools.permutations(range(1, n + 1))
         )
         assert total == 1
-
-
-def test_min_cuts_equals_descents():
-    gen = substream(13, 0)
-    for _ in range(30):
-        n = int(gen.integers(2, 9))
-        p = Permutation(tuple(int(v) + 1 for v in gen.permutation(n)))
-        assert min_cuts(p) == descents(p)
-    assert min_cuts(identity(5)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,10 @@ from riffmix import (
     Scenario,
     bayer_diaconis_tvd,
     custom_scenario,
+    exact_tvd_curve,
     exact_tvd_small,
     mc_tvd,
+    mc_tvd_curve,
     parse_deck,
     riffles_to_packets,
     scenario,
@@ -295,3 +297,52 @@ class TestMcTvd:
 
     def test_backends_tuple_is_frozen(self):
         assert BACKENDS == ("exact-oracle", "mc-histogram", "normal-approx")
+
+
+class TestCurves:
+    """The sequence forms equal one single-packet-count call per entry."""
+
+    PACKETS = [1, 2, 4, 8, 3]
+
+    @pytest.mark.parametrize(
+        "deck, kind, cap",
+        [
+            ("1^2,2^2,3", FIXED_TARGET, 10**8),  # permutation sweep
+            ("1^3,2^3", FIXED_SOURCE, 100),  # per-arrangement enumeration
+        ],
+    )
+    def test_exact_routes(self, deck, kind, cap):
+        s = custom_scenario(deck, kind)
+        curve = exact_tvd_curve(s, self.PACKETS, transition_cap=cap)
+        assert curve == [
+            exact_tvd_small(s, a, transition_cap=cap) for a in self.PACKETS
+        ]
+
+    @pytest.mark.parametrize(
+        "deck, kind, options",
+        [
+            ("1^2,2^2,3", FIXED_TARGET, {}),
+            ("1^6,2^6", FIXED_SOURCE,
+             {"backend": "mc-histogram", "hist_samples": 3000}),
+            ("1^6,2^6", FIXED_SOURCE,
+             {"backend": "mc-histogram", "hist_samples": 3000,
+              "extrapolate": True, "fit_degree": 2, "window": (2, 7)}),
+            ("1^3,2^3,3^3", FIXED_TARGET, {"backend": "normal-approx"}),
+            ("1,2,3", FIXED_SOURCE, {"backend": "normal-approx"}),
+        ],
+    )
+    def test_sampling_routes(self, deck, kind, options):
+        s = custom_scenario(deck, kind)
+        # Each histogram costs about 0.1 s whatever its size, so k is small.
+        curve = mc_tvd_curve(s, self.PACKETS, k=6, seed=11, **options)
+        singles = [mc_tvd(s, a, k=6, seed=11, **options) for a in self.PACKETS]
+        assert curve == singles
+        assert [est.a for est in curve] == self.PACKETS
+
+    def test_zero_variance_pairs_are_exact_point_masses(self):
+        # Distinct cards have a deterministic descent count, so the normal
+        # backend's point mass is the exact transition polynomial.
+        s = custom_scenario("1,2,3", FIXED_SOURCE)
+        (est,) = mc_tvd_curve(s, [2], k=30, seed=4, backend="normal-approx")
+        exact = mc_tvd(s, 2, k=30, seed=4)
+        assert est.value == exact.value

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .rng import PURPOSE_HISTOGRAM, STREAMS, quotas, substream
 
 # Transition sets at or below this size are enumerated in pure Python;
 # larger ones go through the vectorized engine.
-_PLAIN_ENUM_MAX = 200_000
+_PLAIN_ENUM_MAX = 200
 # Per-label permutation tables are materialized up to this multiplicity
 # when enumerating, and up to the second one when sampling; larger labels
 # are sampled by an argsort of random keys instead.
@@ -40,6 +41,10 @@ _SAMPLE_TABLE_MAX_MULT = 7
 # Permutation sweeps over all n! position maps are allowed up to this n.
 _SWEEP_MAX_N = 10
 _CHUNK = 1 << 19
+# Sampling draws at most this many members per generator call, and
+# scores draws in blocks of about this many buffer cells.
+_SAMPLE_BATCH = 1 << 16
+_SCORE_CELLS = 1 << 17
 # Enumerated descent counts are tallied in 64-bit integers.
 _COUNT_MAX = 2**63 - 1
 
@@ -153,14 +158,23 @@ class _LabelTables:
             lab: np.array(sorted(tgt_pos[lab]), dtype=np.int16) - 1
             for lab in self.labels
         }
+        # `_perm_table` rows are in lex order, as `itertools.permutations`.
         self.tables = {
-            lab: np.array(
-                list(itertools.permutations(tgt.tolist())), dtype=np.int16
-            )
+            lab: tgt[_perm_table(len(tgt))[0]]
             for lab, tgt in self.targets.items()
             if len(tgt) <= max_mult
         }
         self.complete = len(self.tables) == len(self.labels)
+        # Runs of consecutive labels that draw from one distribution: a
+        # table of one size, or random keys of one width.
+        self.draw_groups: list[tuple[int, bool, int, list[int]]] = []
+        for i, lab in enumerate(self.labels):
+            is_table = lab in self.tables
+            size = len(self.tables[lab]) if is_table else len(self.targets[lab])
+            if self.draw_groups and self.draw_groups[-1][:2] == (size, is_table):
+                self.draw_groups[-1][3].append(lab)
+            else:
+                self.draw_groups.append((size, is_table, i, [lab]))
         if not self.complete:
             return
         slot_of = {}
@@ -219,45 +233,83 @@ class _LabelTables:
         return out
 
     def descents(self, rows: dict[int, np.ndarray], size: int) -> np.ndarray:
-        """Descent counts of the members picking `rows[lab]` per label."""
+        """Descent counts of the members picking `rows[lab]` per label.
+
+        `np.take` gathers through int16 row indices about twice as fast
+        as fancy indexing, which first converts them to intp.
+        """
         des = np.zeros(size, dtype=np.int16)
         for lab, tab in self.runs:
-            des += tab[rows[lab]]
+            des += np.take(tab, rows[lab])
         for ci, cj, left, right in self.mixed:
-            des += left[rows[ci]] > right[rows[cj]]
+            des += np.take(left, rows[ci]) > np.take(right, rows[cj])
         return des
 
-    def sample_counts(self, quota: int, gen: np.random.Generator) -> np.ndarray:
-        """Descent histogram of `quota` uniform members of the set.
+    def sample_counts(
+        self, quotas: list[int], generators: Iterable[np.random.Generator]
+    ) -> np.ndarray:
+        """Descent histogram of uniform members drawn by a run of streams.
 
-        Without a table for every label, samples build the full image
-        matrix, drawing an argsort of random keys for each large label.
+        Stream `i` draws `quotas[i]` members from the `i`-th generator, in
+        batches of at most `_SAMPLE_BATCH`, labels in `self.labels` order.
+        Consecutive labels drawn from the same distribution share one
+        generator call, which yields the same values, and leaves the
+        generator in the same state, as one call per label.  Draws of
+        successive streams are gathered into one buffer and scored a block
+        at a time.  Without a table for every label, members are built as
+        full images, drawing an argsort of random keys for each large
+        label.
         """
         counts = np.zeros(self.n, dtype=np.int64)
-        batch = 1 << 16
-        done = 0
-        while done < quota:
-            b = min(batch, quota - done)
-            if self.complete:
-                rows = {
-                    lab: gen.integers(0, len(self.tables[lab]), size=b)
-                    for lab in self.labels
-                }
-                des = self.descents(rows, b)
-            else:
-                img = np.empty((b, self.n), dtype=np.int16)
-                for lab in self.labels:
-                    table = self.tables.get(lab)
-                    if table is not None:
-                        picks = table[gen.integers(0, len(table), size=b)]
-                    else:
-                        keys = gen.random((b, len(self.targets[lab])))
-                        picks = self.targets[lab][np.argsort(keys, axis=1)]
-                    img[:, self.slots[lab]] = picks
-                des = (img[:, :-1] > img[:, 1:]).sum(axis=1)
-            counts += np.bincount(des, minlength=self.n)
-            done += b
+        width = len(self.labels) if self.complete else self.n
+        block = -(-_SCORE_CELLS // width)
+        cap = block + min(_SAMPLE_BATCH, max(quotas, default=0))
+        if self.complete:
+            buf = np.empty((width, cap), dtype=np.int16)
+        else:
+            buf = np.empty((cap, width), dtype=np.int16)
+        fill = 0
+        for quota, gen in zip(quotas, generators, strict=True):
+            for start in range(0, quota, _SAMPLE_BATCH):
+                b = min(_SAMPLE_BATCH, quota - start)
+                self._draw(gen, b, buf, fill)
+                fill += b
+                if fill >= block:
+                    counts += self._score(buf, fill)
+                    fill = 0
+        if fill:
+            counts += self._score(buf, fill)
         return counts
+
+    def _draw(
+        self, gen: np.random.Generator, b: int, buf: np.ndarray, at: int
+    ) -> None:
+        """Draw `b` members into columns (rows of an image buffer) `at`
+        onward: one generator call per group of `self.draw_groups`."""
+        cols = slice(at, at + b)
+        for size, is_table, row0, labs in self.draw_groups:
+            if self.complete:
+                buf[row0 : row0 + len(labs), cols] = gen.integers(
+                    0, size, size=(len(labs), b)
+                )
+            elif is_table:
+                picks = gen.integers(0, size, size=(len(labs), b))
+                for lab, pick in zip(labs, picks):
+                    buf[cols, self.slots[lab]] = self.tables[lab][pick]
+            else:
+                order = np.argsort(gen.random((len(labs), b, size)), axis=2)
+                for lab, perm in zip(labs, order):
+                    buf[cols, self.slots[lab]] = self.targets[lab][perm]
+
+    def _score(self, buf: np.ndarray, fill: int) -> np.ndarray:
+        """Descent histogram of the first `fill` members in `buf`."""
+        if self.complete:
+            rows = {lab: buf[i, :fill] for i, lab in enumerate(self.labels)}
+            des = self.descents(rows, fill)
+        else:
+            img = buf[:fill]
+            des = (img[:, :-1] > img[:, 1:]).sum(axis=1)
+        return np.bincount(des, minlength=self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -469,21 +521,13 @@ def descent_polynomial_family(
         for i in range(n):
             col = exp_arr[perms[:, i]]
             code += pow_h[i] * col
-    combined = code * n + des
-    space = h**n * n
-    if space <= 2 * 10**7:
-        flat = np.bincount(combined, minlength=space)
-        mat = flat.reshape(h**n, n)
-        keep = np.nonzero(mat.sum(axis=1))[0]
-        codes = keep.astype(np.int64)
-        counts = mat[keep].astype(np.int64)
-    else:
-        uniq, cnt = np.unique(combined, return_counts=True)
-        row_code = uniq // n
-        degree = uniq % n
-        codes, inverse = np.unique(row_code, return_inverse=True)
-        counts = np.zeros((len(codes), n), dtype=np.int64)
-        np.add.at(counts, (inverse, degree), cnt)
+    # Only counterparts some map reaches get a row.  Sorting the n!
+    # (code, degree) keys and then only the distinct ones is faster than
+    # ranking all n! codes with `return_inverse`.
+    uniq, cnt = np.unique(code * n + des, return_counts=True)
+    codes, inverse = np.unique(uniq // n, return_inverse=True)
+    counts = np.zeros((len(codes), n), dtype=np.int64)
+    counts[inverse, uniq % n] = cnt
     return PolynomialFamily(anchor, role, labels, codes, counts)
 
 
@@ -599,24 +643,26 @@ def mc_descent_histogram(
     per_stream = quotas(samples, streams)
     tables = _LabelTables(d1, d2, _SAMPLE_TABLE_MAX_MULT)
 
-    def run(s: int) -> np.ndarray:
-        if per_stream[s] == 0:
-            return np.zeros(n, dtype=np.int64)
-        gen = substream(seed, PURPOSE_HISTOGRAM, s)
-        return tables.sample_counts(per_stream[s], gen)
+    def run(span: range) -> np.ndarray:
+        live = [t for t in span if per_stream[t]]
+        return tables.sample_counts(
+            [per_stream[t] for t in live],
+            (substream(seed, PURPOSE_HISTOGRAM, t) for t in live),
+        )
 
     step = checkpoint_every or streams
     s = first_stream
     while s < streams:
         stop = min(s + step, streams)
-        block = range(s, stop)
         if threads > 1:
+            edges = list(
+                itertools.accumulate(quotas(stop - s, threads), initial=s)
+            )
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                for part in pool.map(run, block):
+                for part in pool.map(run, map(range, edges, edges[1:])):
                     counts += part
         else:
-            for t in block:
-                counts += run(t)
+            counts += run(range(s, stop))
         s = stop
         if cache_dir is not None and (s < streams or first_stream < streams):
             _cache.store(cache_dir, key, [int(c) for c in counts], s)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,11 @@ def test_plain_and_vectorized_paths_agree():
             continue
         assert _counts_plain(d1, d2) == _counts_vectorized(d1, d2)
         checked += 1
+    # Sets of 216 and 13,824 members, above the plain route's limit.
+    for expr in ("1^3,2^3,3^3", "1^4,2^4,3^4"):
+        d1 = parse_deck(expr)
+        d2 = sample_uniform_rearrangement(d1, gen)
+        assert _counts_plain(d1, d2) == _counts_vectorized(d1, d2)
 
 
 def test_exact_polynomial_cap():
@@ -148,6 +154,20 @@ def test_family_row_count_and_sums():
     assert len(fam.codes) == math.comb(7, 3)
     m = math.factorial(3) * math.factorial(4)
     assert all(int(row.sum()) == m for row in fam.counts)
+
+
+def test_family_sweep_allocates_for_reachable_rows_only():
+    # 5^9 * 9 (code, degree) cells would take 140 MB; 22,680 rows are reachable.
+    anchor = parse_deck("1^2,2^2,3^2,4^2,5")
+    tracemalloc.start()
+    try:
+        fam = descent_polynomial_family(anchor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert len(fam.codes) == math.factorial(9) // 2**4
+    assert all(int(row.sum()) == 2**4 for row in fam.counts)
 
 
 def test_family_encode_decode_roundtrip():
@@ -285,6 +305,55 @@ def test_histogram_counts_sum_and_determinism():
     assert sum(h1.counts) == 5000
     assert h1.counts == h2.counts
     assert h1.counts != h3.counts
+
+
+# Reference counts of the sampler's draw order.  Cached histograms carry
+# no sampler version, so a change to the draw order must fail here rather
+# than silently mix with stale cache entries.  Cases: table path, argsort
+# path, mixed, a stream quota above one 65,536-member batch, checkpointed,
+# and three threads.
+_TABLE_PAIR = ("1^4,2^4,3^3,4^4,5^2", "4,3,4^2,1,5^2,2^2,1,3,2^2,4,3,1^2")
+_MIXED_PAIR = ("1^8,2^3,3", "1^4,2,1,2,3,2,1^3")
+_PINNED = [
+    (
+        _TABLE_PAIR,
+        dict(samples=30000, seed=31),
+        (0, 0, 0, 0, 21, 352, 2447, 6981, 9917, 7160, 2641, 440, 41, 0, 0, 0, 0),
+    ),
+    (
+        ("1^8,2^8", "1,2^2,1,2,1,2,1,2^2,1,2,1,2,1^2"),
+        dict(samples=20000, seed=32),
+        (0, 0, 0, 1, 58, 599, 2696, 5901, 6370, 3439, 823, 109, 4, 0, 0, 0),
+    ),
+    (
+        _MIXED_PAIR,
+        dict(samples=20000, seed=33),
+        (0, 0, 8, 471, 3704, 8064, 5913, 1711, 127, 2, 0, 0),
+    ),
+    (
+        ("1^3,2^3,3^2", "2^2,3,1,2,3,1^2"),
+        dict(samples=140001, seed=34, streams=2),
+        (0, 0, 11591, 54811, 58296, 15303, 0, 0),
+    ),
+    (
+        _TABLE_PAIR,
+        dict(samples=8000, seed=35, checkpoint_every=200),
+        (0, 0, 0, 0, 10, 104, 666, 1825, 2619, 1942, 702, 126, 6, 0, 0, 0, 0),
+    ),
+    (
+        _MIXED_PAIR,
+        dict(samples=20000, seed=36, threads=3),
+        (0, 0, 9, 496, 3788, 7953, 5949, 1651, 154, 0, 0, 0),
+    ),
+]
+
+
+@pytest.mark.parametrize("pair, kwargs, counts", _PINNED)
+def test_histogram_counts_are_pinned(tmp_path, pair, kwargs, counts):
+    d1, d2 = map(parse_deck, pair)
+    if "checkpoint_every" in kwargs:
+        kwargs = dict(kwargs, cache_dir=tmp_path)
+    assert mc_descent_histogram(d1, d2, **kwargs).counts == counts
 
 
 def test_histogram_thread_count_never_changes_counts():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -13,17 +14,26 @@ from riffmix import (  # noqa: E402
     FIXED_SOURCE,
     FIXED_TARGET,
     custom_scenario,
+    descent_moments,
     descent_polynomial_family,
+    exact_descent_polynomial,
     exact_tvd_curve,
     parse_deck,
     probability_from_coefficients,
+    sample_uniform_rearrangement,
+    transition_cardinality,
 )
+from riffmix.rng import substream  # noqa: E402
 
 # Decks of up to 7 cards over up to 3 labels, in any order.
 decks = st.lists(st.integers(1, 3), min_size=1, max_size=7).map(
     lambda cards: parse_deck(",".join(map(str, cards)))
 )
 kinds = st.sampled_from([FIXED_SOURCE, FIXED_TARGET])
+# A deck and a uniformly drawn rearrangement of it.
+pairs = st.tuples(decks, st.integers(0, 2**32)).map(
+    lambda t: (t[0], sample_uniform_rearrangement(t[0], substream(t[1])))
+)
 small = settings(max_examples=50, deadline=None)
 
 
@@ -58,3 +68,24 @@ def test_exact_distance_does_not_increase_with_shuffles(deck, kind):
     values = exact_tvd_curve(custom_scenario(deck, kind), [1, 2, 4, 8, 16, 32])
     assert all(x >= y for x, y in zip(values, values[1:]))
     assert all(0 <= v < 1 for v in values)
+
+
+@small
+@given(pairs)
+def test_coefficients_sum_to_cardinality(pair):
+    d1, d2 = pair
+    poly = exact_descent_polynomial(d1, d2)
+    assert sum(poly.coefficients) == transition_cardinality(d1, d2)
+
+
+@small
+@given(pairs)
+def test_moments_match_enumerated_polynomial(pair):
+    d1, d2 = pair
+    coeffs = exact_descent_polynomial(d1, d2).coefficients
+    m = sum(coeffs)
+    mean = Fraction(sum(d * c for d, c in enumerate(coeffs)), m)
+    square = Fraction(sum(d * d * c for d, c in enumerate(coeffs)), m)
+    moments = descent_moments(d1, d2)
+    assert moments.mean == mean
+    assert moments.variance == square - mean**2

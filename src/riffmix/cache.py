@@ -18,7 +18,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-FORMAT_TAG = "riffmix histogram v1"
+FORMAT_TAG = "riffmix histogram v2"
 ENV_VAR = "RIFFMIX_CACHE_DIR"
 
 
@@ -29,13 +29,18 @@ def default_cache_dir() -> Path | None:
 
 @dataclass(frozen=True)
 class HistogramKey:
-    """Identity of a histogram run; all fields must match to reuse counts."""
+    """Identity of a histogram run; all fields must match to reuse counts.
+
+    `sampler` names the version of the sampling algorithm that drew the
+    counts, so counts drawn by an older sampler are never served.
+    """
 
     source_text: str
     target_text: str
     samples: int
     seed: int
     streams: int
+    sampler: int = 0
 
     def digest(self) -> str:
         raw = "|".join(
@@ -45,6 +50,7 @@ class HistogramKey:
                 str(self.samples),
                 str(self.seed),
                 str(self.streams),
+                str(self.sampler),
             )
         )
         return hashlib.sha256(raw.encode()).hexdigest()[:24]
@@ -69,6 +75,7 @@ def store(
         f"samples={key.samples}",
         f"seed={key.seed}",
         f"streams={key.streams}",
+        f"sampler={key.sampler}",
         f"completed={completed}",
         "counts=" + ",".join(str(c) for c in counts),
         "",
@@ -114,6 +121,7 @@ def load(cache_dir: Path, key: HistogramKey) -> tuple[tuple[int, ...], int] | No
         "samples": str(key.samples),
         "seed": str(key.seed),
         "streams": str(key.streams),
+        "sampler": str(key.sampler),
     }
     for k, v in expect.items():
         if fields.get(k) != v:

@@ -364,8 +364,9 @@ def arrangement_count(deck: Deck) -> int:
 def enumerate_arrangements(deck: Deck, cap: int = 10**7) -> Iterator[Deck]:
     """Yield every distinct ordering of the deck's cards.
 
-    Order is lexicographic in label ids.  Raises `CapExceededError` when
-    the arrangement count exceeds `cap`.
+    Order is lexicographic, ranking labels by their first appearance in
+    `deck`, so it does not depend on which labels were interned first.
+    Raises `CapExceededError` when the arrangement count exceeds `cap`.
     """
     total = arrangement_count(deck)
     if total > cap:
@@ -377,7 +378,7 @@ def enumerate_arrangements(deck: Deck, cap: int = 10**7) -> Iterator[Deck]:
         if left == 0:
             yield Deck(tuple(prefix))
             return
-        for lab in sorted(counts):
+        for lab in counts:
             if counts[lab] == 0:
                 continue
             counts[lab] -= 1

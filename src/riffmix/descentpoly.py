@@ -47,6 +47,9 @@ _SAMPLE_BATCH = 1 << 16
 _SCORE_CELLS = 1 << 17
 # Enumerated descent counts are tallied in 64-bit integers.
 _COUNT_MAX = 2**63 - 1
+# Version of the draw order of `mc_descent_histogram`, part of its cache
+# key.  Bump it with any change that changes sampled counts.
+SAMPLER_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +190,10 @@ class _LabelTables:
             for lab in self.labels
         }
         self.mixed: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+        # Per label, the source slot read at each mixed boundary, in order.
+        self.boundary_slots: dict[int, list[int]] = {
+            lab: [] for lab in self.labels
+        }
         for i in range(self.n - 1):
             ci, cj = cards[i], cards[i + 1]
             qi, qj = slot_of[i], slot_of[i + 1]
@@ -202,33 +209,39 @@ class _LabelTables:
                         np.ascontiguousarray(self.tables[cj][:, qj]),
                     )
                 )
+                self.boundary_slots[ci].append(qi)
+                self.boundary_slots[cj].append(qj)
         # Labels with no adjacent source slots add nothing.
         self.runs = [(lab, tab) for lab, tab in dtab.items() if tab.any()]
 
     def distinct_rows(self) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
         """Per label, the first row of each group of table rows that agree
         in every column `descents` reads, and the size of each group (None
-        when every group is a single row)."""
-        cols: dict[int, list[np.ndarray]] = {lab: [] for lab in self.labels}
-        for lab, tab in self.runs:
-            cols[lab].append(tab)
-        for ci, cj, left, right in self.mixed:
-            cols[ci].append(left)
-            cols[cj].append(right)
+        when every group is a single row).  Groups come in lexicographic
+        order of those columns: the run-descent column, then the boundary
+        columns in boundary order.
+
+        Each row becomes one int64 key.  The cells of a label's table are
+        its m sorted target positions indexed by the cells of
+        `_perm_table(m)`, so those indices, 0..m-1, sort like the cells;
+        run descents are below m too.  A slot read at two boundaries is
+        keyed once, as its second column cannot break a tie.  Keys in base
+        m therefore sort like the rows and stay below m^(m+1), at most
+        9^10 for the tables enumeration builds.
+        """
+        runs = dict(self.runs)
         out = {}
-        for lab, read in cols.items():
-            size = len(self.tables[lab])
-            if not read:  # only in a one-card deck
-                out[lab] = (np.zeros(1, dtype=np.int64), np.array([size]))
-                continue
-            _, first, mult = np.unique(
-                np.stack(read, axis=1),
-                axis=0,
-                return_index=True,
-                return_counts=True,
-            )
-            if len(first) == size:
-                first, mult = np.arange(size), None
+        for lab in self.labels:
+            m = len(self.targets[lab])
+            ranks = _perm_table(m)[0]
+            key = np.zeros(len(ranks), dtype=np.int64)
+            if lab in runs:
+                key += runs[lab]
+            for q in dict.fromkeys(self.boundary_slots[lab]):
+                key = key * m + ranks[:, q]
+            _, first, mult = np.unique(key, return_index=True, return_counts=True)
+            if len(first) == len(key):
+                first, mult = np.arange(len(key)), None
             out[lab] = (first, mult)
         return out
 
@@ -424,14 +437,28 @@ def _perm_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, des
 
 
-@lru_cache(maxsize=8)
-def _sweep_gathers(n: int, h: int) -> list[np.ndarray]:
-    """Per-position arrays h^(p(i)) over all n! maps, shared across sweeps."""
-    perms, _ = _perm_table(n)
-    pow_h = (h ** np.arange(n)).astype(np.int64)
-    if h ** (n - 1) < 2**31:
-        pow_h = pow_h.astype(np.int32)
-    return [pow_h[perms[:, i]] for i in range(n)]
+def _source_codes(exp: np.ndarray, h: int) -> np.ndarray:
+    """Base-h codes sum_i exp[i] * h^p(i) of the maps p listed by
+    `_perm_table(len(exp))`, in its row order.
+
+    The table lists the maps with p(0) = 0 first, then p(0) = 1, and so
+    on; within block v, p(1), p(2), ... run over the other values in the
+    order of the (n-1)-card table.  So block v holds the codes of that
+    smaller table for exp[1:], with digit exp[0] inserted at place v.
+    Building them one card at a time, from the last, takes a few passes
+    over n! values and no gathers.
+    """
+    code = exp[-1:].copy()
+    for k, e in enumerate(exp[-2::-1], start=2):
+        out = np.empty((k, len(code)), dtype=np.int64)
+        for v, block in enumerate(out):
+            # Digits at places v and up move up one place; e goes in at v.
+            np.floor_divide(code, h**v, out=block)
+            block *= (h - 1) * h**v
+            block += code
+            block += e * h**v
+        code = out.reshape(-1)
+    return code
 
 
 @dataclass(frozen=True)
@@ -505,22 +532,14 @@ def descent_polynomial_family(
     h = len(labels)
     index = {lab: e for e, lab in enumerate(labels)}
     exp = np.array([index[c] for c in anchor.cards], dtype=np.int64)
-    pow_h = h ** np.arange(n, dtype=np.int64)
-    code = np.zeros(len(perms), dtype=np.int64)
     if role == "source":
         # Counterpart card at target position p(i) equals anchor card i.
-        gathers = _sweep_gathers(n, h)
-        for i in range(n):
-            if exp[i] == 1:
-                code += gathers[i]
-            elif exp[i]:
-                code += exp[i] * gathers[i].astype(np.int64)
+        code = _source_codes(exp, h)
     else:
         # Counterpart card at position i equals anchor card p(i).
-        exp_arr = exp
+        code = np.zeros(len(perms), dtype=np.int64)
         for i in range(n):
-            col = exp_arr[perms[:, i]]
-            code += pow_h[i] * col
+            code += (h**i * exp)[perms[:, i]]
     # Only counterparts some map reaches get a row.  Sorting the n!
     # (code, degree) keys and then only the distinct ones is faster than
     # ranking all n! codes with `return_inverse`.
@@ -630,7 +649,7 @@ def mc_descent_histogram(
     if cache_dir is None:
         cache_dir = _cache.default_cache_dir()
     key = _cache.HistogramKey(
-        deck_text(d1), deck_text(d2), samples, seed, streams
+        deck_text(d1), deck_text(d2), samples, seed, streams, SAMPLER_VERSION
     )
     counts = np.zeros(n, dtype=np.int64)
     first_stream = 0

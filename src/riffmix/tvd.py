@@ -28,7 +28,8 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
@@ -173,26 +174,27 @@ def exact_tvd_curve(
             f"scenario has {count} arrangements, above the cap of {arrangement_cap}"
         )
     role = "source" if s.kind == FIXED_SOURCE else "target"
-    rows: Iterable[Sequence[int]]
+    # Arrangements sharing a coefficient vector share their terms, so each
+    # distinct vector is scored once and weighted by how often it occurs.
     if n <= 10 and math.factorial(n) <= transition_cap:
         family = descent_polynomial_family(s.anchor, role=role, cap=transition_cap)
         if len(family.codes) != count:
             raise ArithmeticError(
                 "sweep row count disagrees with arrangement count; this is a bug"
             )
-        rows = family.counts.tolist()
+        rows = Counter(map(tuple, family.counts.tolist()))
     else:
-        rows = (
+        rows = Counter(
             exact_descent_polynomial(*s.pair(c), cap=transition_cap).coefficients
             for c in enumerate_arrangements(s.anchor, cap=arrangement_cap)
         )
     # 1/N - num/a^n is (a^n - N*num) / (N*a^n): sum the integer numerators.
     excess = [0] * len(weighted)
-    for row in rows:
+    for row, times in rows.items():
         for i, (weights, denom) in enumerate(weighted):
             gap = denom - count * sum(map(operator.mul, row, weights))
             if gap > 0:
-                excess[i] += gap
+                excess[i] += times * gap
     return [
         Fraction(e, count * denom) for e, (_, denom) in zip(excess, weighted)
     ]

@@ -217,6 +217,13 @@ def test_enumerate_arrangements_lex_and_complete():
     assert arrangement_count(d) == 6
 
 
+def test_enumerate_arrangements_ignores_interning_order():
+    # Interned first, label "ord-b" has the smaller id.
+    parse_deck("ord-b")
+    first = next(enumerate_arrangements(parse_deck("ord-a,ord-b")))
+    assert first.tokens() == ("ord-a", "ord-b")
+
+
 def test_arrangement_count_golden():
     assert arrangement_count(parse_deck("1")) == 1
     assert arrangement_count(parse_deck("1^5,2^5")) == 252

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from riffmix import (
@@ -28,7 +29,13 @@ from riffmix import (
     shuffle_weights,
 )
 from riffmix import cache as cache_mod
-from riffmix.descentpoly import _counts_plain, _counts_vectorized
+from riffmix.descentpoly import (
+    _TABLE_MAX_MULT,
+    SAMPLER_VERSION,
+    _counts_plain,
+    _counts_vectorized,
+    _LabelTables,
+)
 from riffmix.rng import substream
 
 
@@ -97,6 +104,46 @@ def test_plain_and_vectorized_paths_agree():
         d1 = parse_deck(expr)
         d2 = sample_uniform_rearrangement(d1, gen)
         assert _counts_plain(d1, d2) == _counts_vectorized(d1, d2)
+
+
+@pytest.mark.parametrize(
+    "source, target, groups",
+    [
+        ("1^3,2^8", "2^4,1,2,1,2^3,1", 5),
+        ("1,2,3,1,2,3,1,2", "3,2,1,1,2,3,2,1", 6),
+        # 45 cards: label 1 is read in 14 columns of values up to 44, so
+        # base-46 keys of those values would overflow int64.
+        (
+            "1,1,1,2,1,3,1,4,1,5,1,6,1,7,1," + ",".join(map(str, range(10, 40))),
+            ",".join(map(str, range(10, 40))) + ",2,3,4,5,6,7,1^9",
+            302_400,
+        ),
+    ],
+)
+def test_distinct_rows_match_row_wise_unique(source, target, groups):
+    tables = _LabelTables(parse_deck(source), parse_deck(target), _TABLE_MAX_MULT)
+    read = {lab: [] for lab in tables.labels}
+    for lab, tab in tables.runs:
+        read[lab].append(tab)
+    for ci, cj, left, right in tables.mixed:
+        read[ci].append(left)
+        read[cj].append(right)
+    merged = tables.distinct_rows()
+    assert len(merged[tables.labels[0]][0]) == groups
+    for lab in tables.labels:
+        _, first, mult = np.unique(
+            np.stack(read[lab], axis=1),
+            axis=0,
+            return_index=True,
+            return_counts=True,
+        )
+        got_first, got_mult = merged[lab]
+        if got_mult is None:  # every row is its own group, in table order
+            assert len(first) == len(tables.tables[lab])
+            np.testing.assert_array_equal(got_first, np.arange(len(first)))
+        else:
+            np.testing.assert_array_equal(got_first, first)
+            np.testing.assert_array_equal(got_mult, mult)
 
 
 def test_exact_polynomial_cap():
@@ -444,6 +491,30 @@ def test_histogram_cache_store_load_validation(tmp_path):
     assert cache_mod.load(tmp_path, key) == ((1, 2, 3, 4), 16)
     other = cache_mod.HistogramKey("1^2,2^2", "2,1^2,2", 500, 4, 16)
     assert cache_mod.load(tmp_path, other) is None
+
+
+def test_histogram_cache_skips_other_samplers(tmp_path):
+    d1 = parse_deck("1,1,2,2")
+    d2 = parse_deck("2,1,1,2")
+    fresh = mc_descent_histogram(d1, d2, 3000, seed=10, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    text = path.read_text()
+    version = f"sampler={SAMPLER_VERSION}\n"
+    counts = "counts=" + ",".join(map(str, fresh.counts))
+    assert version in text and counts in text
+    stale = [
+        # The same run drawn by another sampler version.
+        text.replace(version, f"sampler={SAMPLER_VERSION + 1}\n"),
+        # A file of the first format, which had no sampler field.
+        text.replace(version, "").replace(
+            cache_mod.FORMAT_TAG, "riffmix histogram v1"
+        ),
+    ]
+    for body in stale:
+        path.write_text(body.replace(counts, "counts=7,7,7,7"))
+        again = mc_descent_histogram(d1, d2, 3000, seed=10, cache_dir=tmp_path)
+        assert again.counts == fresh.counts
+        assert path.read_text() == text
 
 
 def test_histogram_resume_matches_uninterrupted(tmp_path, monkeypatch):

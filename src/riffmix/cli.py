@@ -31,6 +31,7 @@ from .approx import (
 )
 from .deck import Deck, deck_text, parse_deck, transition_cardinality
 from .descentpoly import (
+    eulerian_row,
     exact_descent_polynomial,
     mc_descent_histogram,
 )
@@ -41,7 +42,6 @@ from .hardness import (
     RiffleInstance,
     balanced_class_count_formula,
     balanced_complement_classes,
-    eulerian_row,
     matching_witness_ok,
     mincuts_witness_ok,
     parse_instance,
@@ -251,7 +251,6 @@ def cmd_tvd(args: argparse.Namespace) -> int:
         min_count=args.min_count,
         window=window,
         cache_dir=args.cache_dir,
-        threads=args.threads,
     )
     rows = [
         ResultRow(
@@ -292,7 +291,6 @@ def cmd_poly(args: argparse.Namespace) -> int:
             samples=args.l,
             seed=args.seed,
             cache_dir=args.cache_dir,
-            threads=args.threads,
         )
         est = hist.coefficient_estimates()
         for d in range(n):
@@ -547,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tvd.add_argument("--fit-degree", type=int, default=4)
     p_tvd.add_argument("--min-count", type=int, default=400)
     p_tvd.add_argument("--window", help="fit window, e.g. 18..30")
-    p_tvd.add_argument("--threads", type=int, default=1)
     p_tvd.add_argument("--cache-dir", default=None)
     p_tvd.add_argument("--arrangement-cap", type=int, default=10**6)
     p_tvd.add_argument("--transition-cap", type=int, default=10**8)
@@ -565,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--l", type=int, default=10**6, help="sample count (mc)")
     p_poly.add_argument("--seed", type=int, default=0)
     p_poly.add_argument("--cap", type=int, default=10**8)
-    p_poly.add_argument("--threads", type=int, default=1)
     p_poly.add_argument("--cache-dir", default=None)
     add_format(p_poly)
     p_poly.set_defaults(func=cmd_poly)

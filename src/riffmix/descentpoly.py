@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -630,17 +629,16 @@ def mc_descent_histogram(
     samples: int,
     seed: int,
     streams: int = STREAMS,
-    threads: int = 1,
     cache_dir: str | Path | None = None,
     checkpoint_every: int | None = None,
 ) -> DescentHistogram:
     """Estimate descent coefficients by uniform transition sampling.
 
-    Work is split over `streams` logical substreams with fixed quotas, so
-    the result depends only on (decks, samples, seed, streams), never on
-    `threads`.  With a cache directory, completed counts are stored and
-    reused; `checkpoint_every` flushes partial counts every that many
-    streams so an interrupted run can resume.
+    Work is split over `streams` logical substreams with fixed quotas,
+    counted in stream order, so the result depends only on (decks,
+    samples, seed, streams).  With a cache directory, completed counts
+    are stored and reused; `checkpoint_every` flushes partial counts
+    every that many streams so an interrupted run can resume.
     """
     transition_cardinality(d1, d2)
     if samples < 1:
@@ -661,27 +659,15 @@ def mc_descent_histogram(
             first_stream = completed
     per_stream = quotas(samples, streams)
     tables = _LabelTables(d1, d2, _SAMPLE_TABLE_MAX_MULT)
-
-    def run(span: range) -> np.ndarray:
-        live = [t for t in span if per_stream[t]]
-        return tables.sample_counts(
-            [per_stream[t] for t in live],
-            (substream(seed, PURPOSE_HISTOGRAM, t) for t in live),
-        )
-
     step = checkpoint_every or streams
     s = first_stream
     while s < streams:
         stop = min(s + step, streams)
-        if threads > 1:
-            edges = list(
-                itertools.accumulate(quotas(stop - s, threads), initial=s)
-            )
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for part in pool.map(run, map(range, edges, edges[1:])):
-                    counts += part
-        else:
-            counts += run(range(s, stop))
+        live = [t for t in range(s, stop) if per_stream[t]]
+        counts += tables.sample_counts(
+            [per_stream[t] for t in live],
+            (substream(seed, PURPOSE_HISTOGRAM, t) for t in live),
+        )
         s = stop
         if cache_dir is not None and (s < streams or first_stream < streams):
             _cache.store(cache_dir, key, [int(c) for c in counts], s)

@@ -44,7 +44,7 @@ from .deck import (
     label_positions,
     parse_deck,
 )
-from .descentpoly import _perm_table, eulerian_row
+from .descentpoly import eulerian_row, exact_descent_polynomial
 from .errors import CapExceededError
 from .rng import PURPOSE_INSTANCE_GEN, substream
 
@@ -590,37 +590,19 @@ def strided_descent_counts(
     """
     if n < 1 or h < 1:
         raise ValueError("need n >= 1 and h >= 1")
-    total_positions = n * h
-    if total_positions > 12:
+    if n * h > 12:
         raise CapExceededError("strided exploration supports n*h <= 12")
     work = math.factorial(n) ** h
     if work > cap:
         raise CapExceededError(
             f"strided exploration needs {work} products, above the cap of {cap}"
         )
-    if h == 1 and n <= 10:
-        _, des = _perm_table(n)
-        tally = np.bincount(des, minlength=n)
-        return tuple(int(c) for c in tally)
-    # Class r holds positions r+1, r+1+h, ... and the values with the
-    # same residue; a residue-preserving map permutes each class.
-    class_members = [[r + 1 + k * h for k in range(n)] for r in range(h)]
-    counts = [0] * total_positions
-    images = [0] * total_positions
-    for choice in itertools.product(
-        *(itertools.permutations(class_members[r]) for r in range(h))
-    ):
-        for r in range(h):
-            for slot, val in zip(class_members[r], choice[r]):
-                images[slot - 1] = val
-        d = 0
-        prev = images[0]
-        for v in images[1:]:
-            if prev > v:
-                d += 1
-            prev = v
-        counts[d] += 1
-    return tuple(counts)
+    if h == 1:
+        return eulerian_row(n)
+    # The deck 1,...,h repeated n times gives each residue class its own
+    # label, so its maps onto itself are the residue-preserving ones.
+    deck = Deck(tuple(label_id(str(r + 1)) for r in range(h)) * n)
+    return exact_descent_polynomial(deck, deck, cap=cap).coefficients
 
 
 def strided_total(n: int, h: int) -> int:
@@ -634,7 +616,6 @@ __all__ = [
     "RiffleInstance",
     "balanced_class_count_formula",
     "balanced_complement_classes",
-    "eulerian_row",
     "matching_witness_ok",
     "mincuts_witness_ok",
     "parse_instance",

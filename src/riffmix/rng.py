@@ -3,8 +3,8 @@
 Every randomized routine draws from `numpy.random.Generator` instances
 derived here.  A routine that distributes work across logical streams
 always uses the fixed stream count `STREAMS`, assigns work to streams by
-index, and merges results in stream order.  The operating thread count
-then has no effect on the values produced, only on wall time.
+index, and merges results in stream order, so the values it produces
+depend only on its arguments.
 """
 
 from __future__ import annotations
@@ -12,14 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 # Logical substream count for partitioned work.  Fixed so that results
-# do not depend on the machine or the thread count.
+# do not depend on the machine.
 STREAMS = 1024
 
 # Purpose tags keep substreams for different jobs disjoint even when the
 # top-level seed is reused.
 PURPOSE_HISTOGRAM = 1
 PURPOSE_TVD = 2
-PURPOSE_TVD_CHILD = 3
 PURPOSE_TRANSITION_SAMPLE = 4
 PURPOSE_INSTANCE_GEN = 5
 
@@ -28,17 +27,6 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Generator for the substream addressed by `path` under `seed`."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def derived_seed(seed: int, *path: int) -> int:
-    """A 63-bit integer seed deterministically derived from `seed` and `path`.
-
-    Used when a nested routine wants a plain seed of its own (for example
-    a per-sample histogram run inside a larger estimate).
-    """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
-    lo, hi = ss.generate_state(2, dtype=np.uint32)
-    return (int(hi) << 31) ^ int(lo)
 
 
 def quotas(total: int, parts: int) -> list[int]:

@@ -261,7 +261,6 @@ def _histogram_coefficients(
     min_count: int,
     window: tuple[int, int] | None,
     cache_dir: str | Path | None,
-    threads: int,
 ) -> tuple[Fraction, ...] | tuple[float, ...]:
     """Coefficient estimates from a sampled histogram, seeded by the
     arrangement itself; with `extrapolate`, degrees outside the fit
@@ -274,7 +273,6 @@ def _histogram_coefficients(
         samples=hist_samples,
         seed=hist_seed,
         cache_dir=cache_dir,
-        threads=threads,
     )
     estimates = hist.coefficient_estimates()
     if not extrapolate:
@@ -346,7 +344,6 @@ def mc_tvd_curve(
     min_count: int = 400,
     window: tuple[int, int] | None = None,
     cache_dir: str | Path | None = None,
-    threads: int = 1,
 ) -> list[TvdEstimate]:
     """Estimate the distance from uniform by sampling `k` arrangements,
     at each packet count in `packets`.
@@ -362,10 +359,9 @@ def mc_tvd_curve(
 
     Arrangements are drawn once for all packet counts.  Sampling is split
     over fixed logical streams and merged in stream order, so the value
-    depends only on the arguments; `threads` only splits the streams of
-    each histogram.  Repeated arrangements reuse their first terms, and
-    histogram seeds are derived from the arrangement itself, so reuse is
-    consistent.
+    depends only on the arguments.  Repeated arrangements reuse their
+    first terms, and histogram seeds are derived from the arrangement
+    itself, so reuse is consistent.
     """
     if k < 1:
         raise ValueError("sample count must be positive")
@@ -383,7 +379,6 @@ def mc_tvd_curve(
             min_count=min_count,
             window=window,
             cache_dir=cache_dir,
-            threads=threads,
         )
     elif backend == "normal-approx":
         method = "normal"
@@ -439,10 +434,9 @@ def mc_tvd(
     min_count: int = 400,
     window: tuple[int, int] | None = None,
     cache_dir: str | Path | None = None,
-    threads: int = 1,
 ) -> TvdEstimate:
     """`mc_tvd_curve` at the single packet count `a`."""
     return mc_tvd_curve(
         s, [a], k, seed, backend, transition_cap, hist_samples, extrapolate,
-        fit_degree, min_count, window, cache_dir, threads,
+        fit_degree, min_count, window, cache_dir,
     )[0]

@@ -293,7 +293,6 @@ class TestAcceptance:
                 seed=0,
                 backend="mc-histogram",
                 hist_samples=10**7,
-                threads=min(8, os.cpu_count() or 1),
             )
             assert 0.185 <= est.value <= 0.26, est.value
 

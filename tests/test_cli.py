@@ -108,11 +108,9 @@ class TestTvd:
             "--seed",
             "5",
         )
-        code1, out1, _ = run(capsys, *argv)
-        code2, out2, _ = run(capsys, *argv, "--threads", "2")
-        assert code1 == code2 == 0
-        assert out1 == out2
-        row = ResultRow.from_csv(csv_body(out1)[1][0])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        row = ResultRow.from_csv(csv_body(out)[1][0])
         assert row.err96 == pytest.approx(math.sqrt(10) / math.sqrt(300))
         assert row.err999996 == pytest.approx(10 * math.sqrt(10) / math.sqrt(300))
         assert row.k == 300 and row.seed == 5
@@ -209,24 +207,6 @@ class TestPoly:
         gauges = [line.split(",")[3] for line in body]
         assert sum(values) == pytest.approx(4.0, rel=1e-9)
         assert all(g for v, g in zip(values, gauges) if v > 0)
-
-    def test_mc_is_deterministic(self, capsys):
-        argv = (
-            "poly",
-            "--source",
-            "112233",
-            "--target",
-            "321321",
-            "--method",
-            "mc",
-            "--l",
-            "30000",
-            "--seed",
-            "8",
-        )
-        _, out1, _ = run(capsys, *argv)
-        _, out2, _ = run(capsys, *argv, "--threads", "3")
-        assert out1 == out2
 
     def test_normal_flags_unproven_bound(self, capsys):
         code, out, _ = run(

@@ -354,11 +354,11 @@ def test_histogram_counts_sum_and_determinism():
     assert h1.counts != h3.counts
 
 
-# Reference counts of the sampler's draw order.  Cached histograms carry
-# no sampler version, so a change to the draw order must fail here rather
-# than silently mix with stale cache entries.  Cases: table path, argsort
-# path, mixed, a stream quota above one 65,536-member batch, checkpointed,
-# and three threads.
+# Reference counts of the sampler's draw order.  Cached histograms are
+# keyed by `SAMPLER_VERSION`, so a change to the draw order must fail here
+# until that version is bumped.  Cases: table path, argsort path, mixed
+# (two seeds), a stream quota above one 65,536-member batch, and
+# checkpointed.
 _TABLE_PAIR = ("1^4,2^4,3^3,4^4,5^2", "4,3,4^2,1,5^2,2^2,1,3,2^2,4,3,1^2")
 _MIXED_PAIR = ("1^8,2^3,3", "1^4,2,1,2,3,2,1^3")
 _PINNED = [
@@ -389,7 +389,7 @@ _PINNED = [
     ),
     (
         _MIXED_PAIR,
-        dict(samples=20000, seed=36, threads=3),
+        dict(samples=20000, seed=36),
         (0, 0, 9, 496, 3788, 7953, 5949, 1651, 154, 0, 0, 0),
     ),
 ]
@@ -401,15 +401,6 @@ def test_histogram_counts_are_pinned(tmp_path, pair, kwargs, counts):
     if "checkpoint_every" in kwargs:
         kwargs = dict(kwargs, cache_dir=tmp_path)
     assert mc_descent_histogram(d1, d2, **kwargs).counts == counts
-
-
-def test_histogram_thread_count_never_changes_counts():
-    d1 = parse_deck("1^4,2^4")
-    d2 = parse_deck("2,1,2,1,1,2,2,1")
-    base = mc_descent_histogram(d1, d2, 20000, seed=6, threads=1)
-    for threads in (2, 5):
-        again = mc_descent_histogram(d1, d2, 20000, seed=6, threads=threads)
-        assert again.counts == base.counts
 
 
 def test_histogram_tracks_exact_distribution():

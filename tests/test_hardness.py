@@ -330,7 +330,7 @@ class TestStridedDescents:
         assert strided_total(2, 2) == 4
 
     def test_matches_permutation_filter(self):
-        for n, h in ((2, 2), (3, 2), (2, 3), (1, 4)):
+        for n, h in ((2, 2), (3, 2), (2, 3), (1, 4), (4, 1), (2, 4)):
             assert strided_descent_counts(n, h) == self.brute_counts(n, h), (n, h)
 
     def test_single_class_is_plain_descent_table(self):

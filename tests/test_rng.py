@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from riffmix.rng import STREAMS, KahanSum, derived_seed, quotas, substream
+from riffmix.rng import STREAMS, KahanSum, quotas, substream
 
 
 def test_substream_is_reproducible_and_path_sensitive():
@@ -17,15 +17,6 @@ def test_substream_is_reproducible_and_path_sensitive():
     assert list(a) == list(b)
     assert list(a) != list(c)
     assert list(a) != list(d)
-
-
-def test_derived_seed_is_stable_and_63_bit():
-    one = derived_seed(9, 1, 2)
-    assert one == derived_seed(9, 1, 2)
-    assert one != derived_seed(9, 1, 3)
-    seen = {derived_seed(9, i) for i in range(200)}
-    assert len(seen) == 200
-    assert all(0 <= s < 1 << 63 for s in seen)
 
 
 def test_quotas_partition_the_total_contiguously():

@@ -226,13 +226,6 @@ class TestMcTvd:
         assert one.value == two.value
         assert one.value != other.value
 
-    def test_thread_count_does_not_change_the_result(self):
-        s = custom_scenario("1,1,2,2", FIXED_SOURCE)
-        assert (
-            mc_tvd(s, a=2, k=400, seed=3, threads=1).value
-            == mc_tvd(s, a=2, k=400, seed=3, threads=2).value
-        )
-
     def test_estimate_record_fields(self):
         s = custom_scenario("1,1,2,2", FIXED_SOURCE)
         est = mc_tvd(s, a=2, k=50, seed=3)

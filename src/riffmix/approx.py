@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 
 from .deck import Deck, label_positions, transition_cardinality
 from .errors import CapExceededError, DegenerateDistributionError
@@ -50,15 +53,22 @@ class PairStatistics:
     a-position above the b-position; `descending_triples(a, b, c)`
     counts position triples x > y > z with x from P_a, y from P_b,
     z from P_c (distinct positions by construction).
+
+    The descent terms `single`, `adjacent_covariance` and
+    `disjoint_covariance` depend only on the labels at the boundaries
+    involved.  They are memoized too, as unreduced (num, den) pairs, so
+    one instance serves every source deck carried onto its target.
     """
 
     def __init__(self, target: Deck):
         self.target = target
         self.positions = label_positions(target)
         self.sizes = {lab: len(p) for lab, p in self.positions.items()}
-        self._pairs: dict[tuple[int, int], int] = {}
-        self._triples: dict[tuple[int, int, int], int] = {}
+        self._factors: dict[tuple[str, int, int], list[int]] = {}
         self._sums: dict[tuple, int] = {}
+        self._single: dict[tuple[int, int], tuple[int, int]] = {}
+        self._adjacent: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self._disjoint: dict[tuple, tuple[int, int]] = {}
 
     def below(self, lab: int, pos: int) -> int:
         return bisect_left(self.positions[lab], pos)
@@ -66,24 +76,22 @@ class PairStatistics:
     def above(self, lab: int, pos: int) -> int:
         return self.sizes[lab] - bisect_right(self.positions[lab], pos)
 
-    def descending_pairs(self, a: int, b: int) -> int:
-        key = (a, b)
-        val = self._pairs.get(key)
+    def _at(self, side: str, lab: int, over: int) -> list[int]:
+        """`below` (side "below") or `above` of `lab` at each position of
+        label `over`."""
+        key = (side, lab, over)
+        val = self._factors.get(key)
         if val is None:
-            val = sum(self.below(b, x) for x in self.positions[a])
-            self._pairs[key] = val
+            val = self._factors[key] = list(
+                map(getattr(self, side), repeat(lab), self.positions[over])
+            )
         return val
 
+    def descending_pairs(self, a: int, b: int) -> int:
+        return sum(self._at("below", b, a))
+
     def descending_triples(self, a: int, b: int, c: int) -> int:
-        key = (a, b, c)
-        val = self._triples.get(key)
-        if val is None:
-            val = sum(
-                self.above(a, y) * self.below(c, y)
-                for y in self.positions[b]
-            )
-            self._triples[key] = val
-        return val
+        return self.product_sum(b, ("above", a), ("below", c))
 
     def product_sum(self, over: int, f1: tuple[str, int], f2: tuple[str, int]) -> int:
         """Sum over positions p of label `over` of g1(p) * g2(p), where
@@ -91,122 +99,98 @@ class PairStatistics:
         key = (over, f1, f2) if f1 <= f2 else (over, f2, f1)
         val = self._sums.get(key)
         if val is None:
-            def make(spec):
-                side, lab = spec
-                return (
-                    (lambda p: self.below(lab, p))
-                    if side == "below"
-                    else (lambda p: self.above(lab, p))
-                )
-
-            g1, g2 = make(f1), make(f2)
-            val = sum(g1(p) * g2(p) for p in self.positions[over])
-            self._sums[key] = val
+            val = self._sums[key] = sum(
+                map(mul, self._at(*f1, over), self._at(*f2, over))
+            )
         return val
 
+    def single(self, a: int, b: int) -> tuple[int, int]:
+        """Descent probability at a boundary with labels (a, b), as
+        (num, den).  Two cards of one label descend with probability 1/2
+        by symmetry."""
+        val = self._single.get((a, b))
+        if val is None:
+            val = self._single[a, b] = (
+                (1, 2)
+                if a == b
+                else (self.descending_pairs(a, b), self.sizes[a] * self.sizes[b])
+            )
+        return val
 
-def _single_expectation(st: PairStatistics, a: int, b: int) -> tuple[int, int]:
-    """E[descent at a boundary with labels (a, b)] as (num, den)."""
-    if a == b:
-        return 1, 2
-    return st.descending_pairs(a, b), st.sizes[a] * st.sizes[b]
+    def adjacent_covariance(self, a: int, b: int, c: int) -> tuple[int, int]:
+        """Covariance of the descents at consecutive boundaries with
+        labels a, b, c, as (num, den).
 
+        Both descend exactly when the three drawn positions strictly
+        decrease, which `descending_triples` counts.
+        """
+        key = (a, b, c)
+        val = self._adjacent.get(key)
+        if val is None:
+            val = self._adjacent[key] = self._covariance(
+                self.descending_triples(a, b, c), key, (a, b), (b, c)
+            )
+        return val
 
-def _adjacent_expectation(
-    st: PairStatistics, a: int, b: int, c: int
-) -> tuple[int, int]:
-    """E[product of descents at consecutive boundaries with labels a,b,c].
+    def disjoint_covariance(
+        self, t: tuple[int, int], u: tuple[int, int]
+    ) -> tuple[int, int]:
+        """Covariance of the descents at two non-touching boundaries of
+        types t = (a, b) and u = (c, d), where a != b, c != d and the
+        types share a label, as (num, den).
 
-    The product is 1 exactly when the three drawn positions strictly
-    decrease.  Numerator counts decreasing triples with distinct
-    positions; the denominator is the count of injective draws, a
-    falling factorial per repeated label.
-    """
-    num = st.descending_triples(a, b, c)
-    den = 1
-    for lab in set((a, b, c)):
-        m = (a, b, c).count(lab)
-        size = st.sizes[lab]
-        for t in range(m):
-            den *= size - t
-    return num, den
+        A boundary that compares two cards of one label is an
+        independent fair coin (swapping the two draws is measure
+        preserving and flips only that indicator), and boundaries with
+        no label in common draw independently, so every other pair of
+        non-touching boundaries has covariance 0.  Here the count of
+        favorable draws is the product of the two pair counts, less the
+        draws that put two cards of a shared label on one position, by
+        inclusion-exclusion.  Each shared label must have two cards for
+        the boundaries to be disjoint.
+        """
+        key = (t, u) if t <= u else (u, t)
+        val = self._disjoint.get(key)
+        if val is None:
+            (a, b), (c, d) = t, u
+            r, ps = self.descending_pairs, self.product_sum
+            num = r(a, b) * r(c, d)
+            if a == c:
+                num -= ps(a, ("below", b), ("below", d))
+            if a == d:
+                num -= ps(a, ("below", b), ("above", c))
+            if b == c:
+                num -= ps(b, ("above", a), ("below", d))
+            if b == d:
+                num -= ps(b, ("above", a), ("above", c))
+            if t == u:
+                num += r(a, b)
+            val = self._disjoint[key] = self._covariance(num, (a, b, c, d), t, u)
+        return val
 
-
-def _disjoint_expectation(
-    st: PairStatistics, a: int, b: int, c: int, d: int
-) -> tuple[int, int]:
-    """E[product of descents at two non-touching boundaries], labels
-    (a, b) at the first and (c, d) at the second.
-
-    When a boundary compares two cards of one label, its indicator is an
-    independent fair coin no matter what else is drawn (swapping the two
-    draws is measure preserving and flips only that indicator), so it
-    contributes a factor 1/2.  Otherwise the count of favorable draws is
-    the product of the two pair counts, corrected for draws that collide
-    in a shared label.
-    """
-    if a == b and c == d:
-        return 1, 4
-    if a == b:
-        num, den = _single_expectation(st, c, d)
-        return num, 2 * den
-    if c == d:
-        num, den = _single_expectation(st, a, b)
-        return num, 2 * den
-    na, nb, nc, nd = st.sizes[a], st.sizes[b], st.sizes[c], st.sizes[d]
-    r = st.descending_pairs
-    if len({a, b, c, d}) == 4:
-        return r(a, b) * r(c, d), na * nb * nc * nd
-    if a == c and b == d:
-        num = (
-            r(a, b) * r(a, b)
-            - st.product_sum(a, ("below", b), ("below", b))
-            - st.product_sum(b, ("above", a), ("above", a))
-            + r(a, b)
-        )
-        return num, na * (na - 1) * nb * (nb - 1)
-    if a == d and b == c:
-        num = (
-            r(a, b) * r(b, a)
-            - st.product_sum(a, ("below", b), ("above", b))
-            - st.product_sum(b, ("below", a), ("above", a))
-        )
-        return num, na * (na - 1) * nb * (nb - 1)
-    if a == c:
-        num = r(a, b) * r(a, d) - st.product_sum(
-            a, ("below", b), ("below", d)
-        )
-        return num, na * (na - 1) * nb * nd
-    if a == d:
-        num = r(a, b) * r(c, a) - st.product_sum(
-            a, ("below", b), ("above", c)
-        )
-        return num, na * (na - 1) * nb * nc
-    if b == c:
-        num = r(a, b) * r(b, d) - st.product_sum(
-            b, ("above", a), ("below", d)
-        )
-        return num, nb * (nb - 1) * na * nd
-    # b == d
-    num = r(a, b) * r(c, b) - st.product_sum(b, ("above", a), ("above", c))
-    return num, nb * (nb - 1) * na * nc
+    def _covariance(
+        self,
+        hits: int,
+        labels: tuple[int, ...],
+        t: tuple[int, int],
+        u: tuple[int, int],
+    ) -> tuple[int, int]:
+        """hits / draws - single(t) * single(u), unreduced, where draws
+        counts the injective draws of positions for cards with `labels`:
+        a falling factorial per repeated label."""
+        draws = 1
+        for lab in set(labels):
+            size = self.sizes[lab]
+            for i in range(labels.count(lab)):
+                draws *= size - i
+        (sn, sd), (un, ud) = self.single(*t), self.single(*u)
+        return hits * sd * ud - draws * sn * un, draws * sd * ud
 
 
-class _RationalAccumulator:
-    """Sum of many small rationals, grouped by denominator."""
-
-    def __init__(self) -> None:
-        self._acc: dict[int, int] = {}
-
-    def add(self, num: int, den: int) -> None:
-        if num:
-            self._acc[den] = self._acc.get(den, 0) + num
-
-    def value(self) -> Fraction:
-        out = Fraction(0)
-        for den, num in self._acc.items():
-            out += Fraction(num, den)
-        return out
+def _total(acc: Counter[int]) -> Fraction:
+    """The sum of num/den over the entries den -> num of `acc`."""
+    den = math.lcm(*acc)
+    return Fraction(sum(num * (den // d) for d, num in acc.items()), den)
 
 
 def descent_moments(
@@ -215,48 +199,58 @@ def descent_moments(
     """Exact mean and variance of the descent count of a uniform
     permutation carrying `d1` onto `d2`.
 
+    The count sums one indicator per boundary, and each term depends
+    only on boundary types, a boundary's (left label, right label) pair.
+    The mean sums `single` over boundaries.  The variance sums s(1 - s)
+    over boundaries, twice the `adjacent_covariance` of each pair of
+    consecutive boundaries, and twice the `disjoint_covariance` of each
+    pair of non-touching boundaries whose types share a label and are
+    not monochrome; all other pairs are independent.  So the work per
+    call grows with the number of distinct types, not with n^2.
+
     Callers sweeping many source decks against one target can pass the
-    target's `PairStatistics` to reuse its memoized position counts.
+    target's `PairStatistics` to reuse its memoized terms.
     """
     transition_cardinality(d1, d2)
-    n = d1.n
     if stats is not None and stats.target is not d2 and stats.target != d2:
         raise ValueError("stats was built for a different target deck")
     st = stats if stats is not None else PairStatistics(d2)
     cards = d1.cards
-    mean_acc = _RationalAccumulator()
-    singles: list[tuple[int, int]] = []
-    for i in range(n - 1):
-        num, den = _single_expectation(st, cards[i], cards[i + 1])
-        singles.append((num, den))
-        mean_acc.add(num, den)
-    mean = mean_acc.value()
-    square_acc = _RationalAccumulator()
-    for num, den in singles:
-        square_acc.add(num, den)
-    adj_memo: dict[tuple[int, int, int], tuple[int, int]] = {}
-    dis_memo: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-    for i in range(n - 1):
-        a, b = cards[i], cards[i + 1]
-        for j in range(i + 1, n - 1):
-            c, d = cards[j], cards[j + 1]
-            if j == i + 1:
-                key3 = (a, b, d)
-                term = adj_memo.get(key3)
-                if term is None:
-                    term = _adjacent_expectation(st, a, b, d)
-                    adj_memo[key3] = term
-            else:
-                key4 = (a, b, c, d)
-                term = dis_memo.get(key4)
-                if term is None:
-                    term = _disjoint_expectation(st, a, b, c, d)
-                    dis_memo[key4] = term
-            square_acc.add(2 * term[0], term[1])
-    variance = square_acc.value() - mean * mean
+    types = Counter(zip(cards, cards[1:]))
+    # Sums of fractions, kept as denominator -> numerator until the end.
+    mean_sum: Counter[int] = Counter()
+    var_sum: Counter[int] = Counter()
+    for (a, b), k in types.items():
+        num, den = st.single(a, b)
+        mean_sum[den] += k * num
+        var_sum[den * den] += k * num * (den - num)
+    # Consecutive mixed boundaries, by unordered type pair; the products
+    # of type counts below count them too, and they are not disjoint.
+    touching: Counter[tuple[tuple[int, int], tuple[int, int]]] = Counter()
+    for (a, b, c), k in Counter(zip(cards, cards[1:], cards[2:])).items():
+        num, den = st.adjacent_covariance(a, b, c)
+        var_sum[den] += 2 * k * num
+        if a != b != c:
+            touching[min((a, b), (b, c)), max((a, b), (b, c))] += k
+    # Mixed (not monochrome) types, listed under each of their labels.
+    mixed = [t for t in types if t[0] != t[1]]
+    by_label: dict[int, set[tuple[int, int]]] = {}
+    for t in mixed:
+        for lab in t:
+            by_label.setdefault(lab, set()).add(t)
+    for t in mixed:
+        for u in by_label[t[0]] | by_label[t[1]]:
+            if t <= u:
+                # Disjoint pairs of boundaries with types t and u.
+                k = types[t] * (types[u] - 1) // 2 if t == u else types[t] * types[u]
+                k -= touching[t, u]
+                if k:
+                    num, den = st.disjoint_covariance(t, u)
+                    var_sum[den] += 2 * k * num
+    mean, variance = _total(mean_sum), _total(var_sum)
     if variance < 0:
         raise ArithmeticError(f"negative variance {variance}; this is a bug")
-    return DescentMoments(n, mean, variance)
+    return DescentMoments(d1.n, mean, variance)
 
 
 # ---------------------------------------------------------------------------

@@ -424,15 +424,18 @@ def _perm_table(n: int) -> tuple[np.ndarray, np.ndarray]:
         )
     if n == 1:
         return np.zeros((1, 1), dtype=np.int8), np.zeros(1, dtype=np.int8)
-    sub, _ = _perm_table(n - 1)
+    sub, sub_des = _perm_table(n - 1)
     f = math.factorial(n - 1)
     perms = np.empty((n * f, n), dtype=np.int8)
-    for first in range(n):
-        rest = np.array([v for v in range(n) if v != first], dtype=np.int8)
-        block = perms[first * f : (first + 1) * f]
-        block[:, 0] = first
-        block[:, 1:] = rest[sub]
-    des = (perms[:, :-1] > perms[:, 1:]).sum(axis=1).astype(np.int8)
+    des = np.empty(n * f, dtype=np.int8)
+    for v in range(n):
+        block = slice(v * f, (v + 1) * f)
+        perms[block, 0] = v
+        # The other values, in the order of the smaller table: shifting
+        # values v and up by one keeps every descent among them, and v
+        # descends onto the next value exactly when that value is below v.
+        np.add(sub, sub >= v, out=perms[block, 1:])
+        np.add(sub_des, sub[:, 0] < v, out=des[block])
     return perms, des
 
 

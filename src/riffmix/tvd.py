@@ -35,7 +35,12 @@ from functools import partial
 from fractions import Fraction
 from pathlib import Path
 
-from .approx import descent_moments, normal_coefficient_estimate, tail_extrapolate
+from .approx import (
+    PairStatistics,
+    descent_moments,
+    normal_coefficient_estimate,
+    tail_extrapolate,
+)
 from .deck import (
     Deck,
     arrangement_count,
@@ -288,12 +293,13 @@ def _histogram_coefficients(
 
 
 def _normal_coefficients(
-    s: Scenario, counterpart: Deck
+    s: Scenario, counterpart: Deck, stats: PairStatistics | None
 ) -> tuple[int, ...] | tuple[float, ...]:
     """Moment-matched normal curve, or the exact point mass when the
-    descent count is deterministic."""
+    descent count is deterministic.  `stats` is the target's, when every
+    counterpart shares one target."""
     d1, d2 = s.pair(counterpart)
-    moments = descent_moments(d1, d2)
+    moments = descent_moments(d1, d2, stats)
     m = transition_cardinality(d1, d2)
     if moments.variance == 0:
         d = int(moments.mean)
@@ -382,7 +388,10 @@ def mc_tvd_curve(
         )
     elif backend == "normal-approx":
         method = "normal"
-        coefficients = _normal_coefficients
+        coefficients = partial(
+            _normal_coefficients,
+            stats=PairStatistics(s.anchor) if s.kind == FIXED_TARGET else None,
+        )
     else:
         raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
     ratios = [

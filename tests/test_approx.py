@@ -25,6 +25,8 @@ from riffmix import (
     normal_polynomial_estimate,
     parse_deck,
     sample_uniform_rearrangement,
+    scenario,
+    scenario_names,
     tail_extrapolate,
     transition_cardinality,
 )
@@ -118,6 +120,42 @@ class TestStatsReuse:
         other = parse_deck("1,2,1,2")
         with pytest.raises(ValueError):
             descent_moments(d1, d2, PairStatistics(other))
+
+
+# (mean, variance) of the pair each scenario draws from substream(2024,
+# 901); these decks are far beyond enumeration.
+FULL_SIZE_MOMENTS = [
+    ("BayerDiaconis", "26", "0"),
+    ("Blackjack1", "401/16", "3295/768"),
+    ("Blackjack2", "213/8", "171/64"),
+    ("Bridge1", "26", "8/3"),
+    ("Bridge2", "330/13", "13433/3042"),
+    ("RedBlack1", "17217/676", "50369227/11424400"),
+    ("RedBlack2", "8631/338", "12962249/2856100"),
+    ("AliceBob1", "26", "4"),
+    ("AliceBob2", "51/2", "8573/1950"),
+]
+
+
+class TestFullSizeMoments:
+    def test_every_scenario_is_pinned(self):
+        assert [row[0] for row in FULL_SIZE_MOMENTS] == list(scenario_names())
+
+    @pytest.mark.parametrize("name, mean, variance", FULL_SIZE_MOMENTS)
+    def test_moments_are_pinned(self, name, mean, variance):
+        s = scenario(name)
+        d1, d2 = s.pair(sample_uniform_rearrangement(s.anchor, substream(2024, 901)))
+        mom = descent_moments(d1, d2)
+        assert (mom.mean, mom.variance) == (Fraction(mean), Fraction(variance))
+
+    @pytest.mark.parametrize("name", ["Bridge1", "AliceBob1"])
+    def test_shared_statistics_match_fresh_ones(self, name):
+        s = scenario(name)
+        stats = PairStatistics(s.anchor)
+        gen = substream(2025, 901)
+        for _ in range(20):
+            d1, d2 = s.pair(sample_uniform_rearrangement(s.anchor, gen))
+            assert descent_moments(d1, d2, stats) == descent_moments(d1, d2)
 
 
 class TestPairStatistics:

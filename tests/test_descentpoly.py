@@ -35,6 +35,7 @@ from riffmix.descentpoly import (
     _counts_plain,
     _counts_vectorized,
     _LabelTables,
+    _perm_table,
 )
 from riffmix.rng import substream
 
@@ -215,6 +216,17 @@ def test_family_sweep_allocates_for_reachable_rows_only():
     assert peak < 64 * 2**20
     assert len(fam.codes) == math.factorial(9) // 2**4
     assert all(int(row.sum()) == 2**4 for row in fam.counts)
+
+
+def test_perm_table_lists_permutations_in_lex_order_with_descents():
+    for n in range(1, 9):
+        perms, des = _perm_table(n)
+        want = list(itertools.permutations(range(n)))
+        assert perms.dtype == des.dtype == np.int8
+        assert perms.tolist() == [list(p) for p in want]
+        assert des.tolist() == [
+            sum(p[i] > p[i + 1] for i in range(n - 1)) for p in want
+        ]
 
 
 def test_family_encode_decode_roundtrip():

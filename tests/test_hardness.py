@@ -50,15 +50,25 @@ def brute_matching(inst):
     return inst.m == 0
 
 
+def distinct_schedules(sizes):
+    """Every distinct sequence that takes index i exactly sizes[i] times,
+    in lex order."""
+    if not any(sizes):
+        yield ()
+        return
+    for idx, size in enumerate(sizes):
+        if size:
+            rest = sizes[:idx] + (size - 1,) + sizes[idx + 1 :]
+            for tail in distinct_schedules(rest):
+                yield (idx,) + tail
+
+
 def brute_riffle(inst):
     """Try every interleaving of the packets directly."""
-    sizes = [p.n for p in inst.packets]
+    sizes = tuple(p.n for p in inst.packets)
     if sum(sizes) != inst.deck.n:
         return False
-    order = []
-    for idx, size in enumerate(sizes):
-        order.extend([idx] * size)
-    for schedule in set(itertools.permutations(order)):
+    for schedule in distinct_schedules(sizes):
         ptrs = [0] * len(inst.packets)
         out = []
         for idx in schedule:
@@ -229,6 +239,20 @@ class TestSolvers:
             assert solve_riffle(plain)[0] == want, inst.text()
             assert solve_riffle(bracketed)[0] == want, inst.text()
             assert solve_mincuts(cuts)[0] == want, inst.text()
+
+    def test_distinct_schedules_match_permutation_set(self):
+        cases = [
+            sizes
+            for length in (1, 2, 3)
+            for sizes in itertools.product(range(5), repeat=length)
+            if sum(sizes) <= 8
+        ]
+        cases += [(1,) * 8, (2, 2, 2, 2), (1, 2, 3, 2), (0, 3, 0, 1)]
+        for sizes in cases:
+            order = [idx for idx, size in enumerate(sizes) for _ in range(size)]
+            got = list(distinct_schedules(sizes))
+            assert len(got) == len(set(got)), sizes
+            assert set(got) == set(itertools.permutations(order)), sizes
 
     def test_riffle_solver_matches_interleaving_scan(self):
         for seed in range(12):

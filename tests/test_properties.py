@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from riffmix import (  # noqa: E402
     FIXED_SOURCE,
@@ -25,15 +25,26 @@ from riffmix import (  # noqa: E402
 )
 from riffmix.rng import substream  # noqa: E402
 
-# Decks of up to 7 cards over up to 3 labels, in any order.
-decks = st.lists(st.integers(1, 3), min_size=1, max_size=7).map(
-    lambda cards: parse_deck(",".join(map(str, cards)))
-)
+
+def deck_lists(labels: int, size: int):
+    """Decks of up to `size` cards over up to `labels` labels, in any order."""
+    return st.lists(st.integers(1, labels), min_size=1, max_size=size).map(
+        lambda cards: parse_deck(",".join(map(str, cards)))
+    )
+
+
+def pairs_of(decks):
+    """A deck and a uniformly drawn rearrangement of it."""
+    return st.tuples(decks, st.integers(0, 2**32)).map(
+        lambda t: (t[0], sample_uniform_rearrangement(t[0], substream(t[1])))
+    )
+
+
+decks = deck_lists(3, 7)
 kinds = st.sampled_from([FIXED_SOURCE, FIXED_TARGET])
-# A deck and a uniformly drawn rearrangement of it.
-pairs = st.tuples(decks, st.integers(0, 2**32)).map(
-    lambda t: (t[0], sample_uniform_rearrangement(t[0], substream(t[1])))
-)
+pairs = pairs_of(decks)
+# Up to 5 labels over up to 8 cards, so many labels hold a single card.
+wide_pairs = pairs_of(deck_lists(5, 8))
 small = settings(max_examples=50, deadline=None)
 
 
@@ -78,8 +89,19 @@ def test_coefficients_sum_to_cardinality(pair):
     assert sum(poly.coefficients) == transition_cardinality(d1, d2)
 
 
+def _pair(source: str, target: str):
+    return parse_deck(source), parse_deck(target)
+
+
 @small
-@given(pairs)
+@given(wide_pairs)
+@example(_pair("1", "1"))
+@example(_pair("1,1", "1,1"))
+@example(_pair("1,2", "2,1"))
+@example(_pair("1,2", "1,2"))
+@example(_pair("1,1,1,1,1", "1,1,1,1,1"))
+@example(_pair("1,2,1,3,1,4", "4,1,1,3,2,1"))
+@example(_pair("2,1,2,3,2", "3,2,2,1,2"))
 def test_moments_match_enumerated_polynomial(pair):
     d1, d2 = pair
     coeffs = exact_descent_polynomial(d1, d2).coefficients

@@ -260,6 +260,23 @@ class TestMcTvd:
         assert est.value == again.value
         assert abs(est.value - 0.25) < 0.32
 
+    @pytest.mark.parametrize(
+        "name, values",
+        [
+            ("Bridge1", [1.0, 0.8861901908504535, 0.6267376115980721,
+                         0.3620426322258765]),
+            ("Blackjack1", [0.925, 0.05305012843553166, 0.15446514309415865,
+                            0.09974192816804986]),
+        ],
+    )
+    def test_normal_backend_values_are_pinned(self, name, values):
+        # Floats, compared exactly: the moments are exact and the curve
+        # is evaluated in a fixed order, so no bit may move.
+        curve = mc_tvd_curve(
+            scenario(name), [8, 16, 32, 64], k=40, seed=77, backend="normal-approx"
+        )
+        assert [est.value for est in curve] == values
+
     def test_extrapolated_histogram_backend_runs(self):
         s = custom_scenario("1^6,2^6", FIXED_SOURCE)
         plain = mc_tvd(

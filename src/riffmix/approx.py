@@ -64,19 +64,19 @@ class PairStatistics:
         self.target = target
         self.positions = label_positions(target)
         self.sizes = {lab: len(p) for lab, p in self.positions.items()}
-        self._factors: dict[tuple[str, int, int], list[int]] = {}
+        self._factors: dict[tuple[str, str, str], list[int]] = {}
         self._sums: dict[tuple, int] = {}
-        self._single: dict[tuple[int, int], tuple[int, int]] = {}
-        self._adjacent: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self._single: dict[tuple[str, str], tuple[int, int]] = {}
+        self._adjacent: dict[tuple[str, str, str], tuple[int, int]] = {}
         self._disjoint: dict[tuple, tuple[int, int]] = {}
 
-    def below(self, lab: int, pos: int) -> int:
+    def below(self, lab: str, pos: int) -> int:
         return bisect_left(self.positions[lab], pos)
 
-    def above(self, lab: int, pos: int) -> int:
+    def above(self, lab: str, pos: int) -> int:
         return self.sizes[lab] - bisect_right(self.positions[lab], pos)
 
-    def _at(self, side: str, lab: int, over: int) -> list[int]:
+    def _at(self, side: str, lab: str, over: str) -> list[int]:
         """`below` (side "below") or `above` of `lab` at each position of
         label `over`."""
         key = (side, lab, over)
@@ -87,13 +87,13 @@ class PairStatistics:
             )
         return val
 
-    def descending_pairs(self, a: int, b: int) -> int:
+    def descending_pairs(self, a: str, b: str) -> int:
         return sum(self._at("below", b, a))
 
-    def descending_triples(self, a: int, b: int, c: int) -> int:
+    def descending_triples(self, a: str, b: str, c: str) -> int:
         return self.product_sum(b, ("above", a), ("below", c))
 
-    def product_sum(self, over: int, f1: tuple[str, int], f2: tuple[str, int]) -> int:
+    def product_sum(self, over: str, f1: tuple[str, str], f2: tuple[str, str]) -> int:
         """Sum over positions p of label `over` of g1(p) * g2(p), where
         each factor is ("below", lab) or ("above", lab) applied at p."""
         key = (over, f1, f2) if f1 <= f2 else (over, f2, f1)
@@ -104,7 +104,7 @@ class PairStatistics:
             )
         return val
 
-    def single(self, a: int, b: int) -> tuple[int, int]:
+    def single(self, a: str, b: str) -> tuple[int, int]:
         """Descent probability at a boundary with labels (a, b), as
         (num, den).  Two cards of one label descend with probability 1/2
         by symmetry."""
@@ -117,7 +117,7 @@ class PairStatistics:
             )
         return val
 
-    def adjacent_covariance(self, a: int, b: int, c: int) -> tuple[int, int]:
+    def adjacent_covariance(self, a: str, b: str, c: str) -> tuple[int, int]:
         """Covariance of the descents at consecutive boundaries with
         labels a, b, c, as (num, den).
 
@@ -133,7 +133,7 @@ class PairStatistics:
         return val
 
     def disjoint_covariance(
-        self, t: tuple[int, int], u: tuple[int, int]
+        self, t: tuple[str, str], u: tuple[str, str]
     ) -> tuple[int, int]:
         """Covariance of the descents at two non-touching boundaries of
         types t = (a, b) and u = (c, d), where a != b, c != d and the
@@ -171,9 +171,9 @@ class PairStatistics:
     def _covariance(
         self,
         hits: int,
-        labels: tuple[int, ...],
-        t: tuple[int, int],
-        u: tuple[int, int],
+        labels: tuple[str, ...],
+        t: tuple[str, str],
+        u: tuple[str, str],
     ) -> tuple[int, int]:
         """hits / draws - single(t) * single(u), unreduced, where draws
         counts the injective draws of positions for cards with `labels`:
@@ -226,7 +226,7 @@ def descent_moments(
         var_sum[den * den] += k * num * (den - num)
     # Consecutive mixed boundaries, by unordered type pair; the products
     # of type counts below count them too, and they are not disjoint.
-    touching: Counter[tuple[tuple[int, int], tuple[int, int]]] = Counter()
+    touching: Counter[tuple[tuple[str, str], tuple[str, str]]] = Counter()
     for (a, b, c), k in Counter(zip(cards, cards[1:], cards[2:])).items():
         num, den = st.adjacent_covariance(a, b, c)
         var_sum[den] += 2 * k * num
@@ -234,7 +234,7 @@ def descent_moments(
             touching[min((a, b), (b, c)), max((a, b), (b, c))] += k
     # Mixed (not monochrome) types, listed under each of their labels.
     mixed = [t for t in types if t[0] != t[1]]
-    by_label: dict[int, set[tuple[int, int]]] = {}
+    by_label: dict[str, set[tuple[str, str]]] = {}
     for t in mixed:
         for lab in t:
             by_label.setdefault(lab, set()).add(t)

@@ -42,17 +42,19 @@ class HistogramKey:
     streams: int
     sampler: int = 0
 
+    def fields(self) -> dict[str, str]:
+        """Field name -> text, in the order files and the digest use."""
+        return {
+            "source": self.source_text,
+            "target": self.target_text,
+            "samples": str(self.samples),
+            "seed": str(self.seed),
+            "streams": str(self.streams),
+            "sampler": str(self.sampler),
+        }
+
     def digest(self) -> str:
-        raw = "|".join(
-            (
-                self.source_text,
-                self.target_text,
-                str(self.samples),
-                str(self.seed),
-                str(self.streams),
-                str(self.sampler),
-            )
-        )
+        raw = "|".join(self.fields().values())
         return hashlib.sha256(raw.encode()).hexdigest()[:24]
 
     def path(self, cache_dir: Path) -> Path:
@@ -70,12 +72,7 @@ def store(
     cache_dir.mkdir(parents=True, exist_ok=True)
     lines = [
         FORMAT_TAG,
-        f"source={key.source_text}",
-        f"target={key.target_text}",
-        f"samples={key.samples}",
-        f"seed={key.seed}",
-        f"streams={key.streams}",
-        f"sampler={key.sampler}",
+        *(f"{k}={v}" for k, v in key.fields().items()),
         f"completed={completed}",
         "counts=" + ",".join(str(c) for c in counts),
         "",
@@ -115,15 +112,7 @@ def load(cache_dir: Path, key: HistogramKey) -> tuple[tuple[int, ...], int] | No
             return None
         k, _, v = line.partition("=")
         fields[k] = v
-    expect = {
-        "source": key.source_text,
-        "target": key.target_text,
-        "samples": str(key.samples),
-        "seed": str(key.seed),
-        "streams": str(key.streams),
-        "sampler": str(key.sampler),
-    }
-    for k, v in expect.items():
+    for k, v in key.fields().items():
         if fields.get(k) != v:
             return None
     try:

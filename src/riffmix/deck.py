@@ -1,8 +1,8 @@
 """Decks with repeated labels, and the position maps between them.
 
-A deck is an ordered sequence of labels.  Labels are interned strings;
-internally every card is a small integer id so that hot loops can work
-on integer tuples and numpy arrays.
+A deck is a word over its labels: a tuple of label tokens, one per card,
+compared and hashed as plain strings.  Label order, wherever the library
+needs one, is first appearance in a deck, never the text of the tokens.
 
 A rearrangement of one deck into another is described by a permutation
 `p` acting on positions: the card at source position `i` travels to
@@ -25,61 +25,31 @@ from .errors import CapExceededError, DeckParseError, SignatureMismatchError
 from .rng import PURPOSE_TRANSITION_SAMPLE, substream
 
 # ---------------------------------------------------------------------------
-# Label interning
-
-_TOKEN_TO_ID: dict[str, int] = {}
-_ID_TO_TOKEN: list[str] = []
-
-
-def label_id(token: str) -> int:
-    """Intern `token` and return its integer id."""
-    lid = _TOKEN_TO_ID.get(token)
-    if lid is None:
-        lid = len(_ID_TO_TOKEN)
-        _TOKEN_TO_ID[token] = lid
-        _ID_TO_TOKEN.append(token)
-    return lid
-
-
-def label_token(lid: int) -> str:
-    """Inverse of `label_id`."""
-    if not 0 <= lid < len(_ID_TO_TOKEN):
-        raise ValueError(
-            f"unknown label id {lid}; deck cards must be ids returned by "
-            "label_id or produced by parse_deck"
-        )
-    return _ID_TO_TOKEN[lid]
-
-
-# ---------------------------------------------------------------------------
 # Core types
 
 
 @dataclass(frozen=True)
 class Deck:
-    """An ordered sequence of cards, stored as interned label ids."""
+    """An ordered sequence of cards, each one its label token."""
 
-    cards: tuple[int, ...]
+    cards: tuple[str, ...]
 
     @property
     def n(self) -> int:
         return len(self.cards)
 
     @cached_property
-    def counts(self) -> dict[int, int]:
-        """Label id -> multiplicity, keyed in first-appearance order."""
-        out: dict[int, int] = {}
+    def counts(self) -> dict[str, int]:
+        """Label -> multiplicity, keyed in first-appearance order."""
+        out: dict[str, int] = {}
         for c in self.cards:
             out[c] = out.get(c, 0) + 1
         return out
 
     @cached_property
-    def signature(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (label id, count) pairs; equal iff same multiset of cards."""
+    def signature(self) -> tuple[tuple[str, int], ...]:
+        """Sorted (label, count) pairs; equal iff same multiset of cards."""
         return tuple(sorted(self.counts.items()))
-
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(label_token(c) for c in self.cards)
 
     def __str__(self) -> str:
         return deck_text(self)
@@ -144,7 +114,7 @@ def parse_deck(text: str) -> Deck:
     around delimiters are ignored.  Tokens may not contain commas,
     carets, parentheses, or whitespace.
     """
-    cards: list[int] = []
+    cards: list[str] = []
     i = 0
     n = len(text)
 
@@ -193,9 +163,7 @@ def parse_deck(text: str) -> Deck:
             count = int(text[start:i])
             if count < 1:
                 raise DeckParseError("count must be at least 1", start)
-        ids = [label_id(t) for t in group]
-        for _ in range(count):
-            cards.extend(ids)
+        cards.extend(group * count)
         i = skip_ws(i)
         if i == n:
             break
@@ -218,7 +186,7 @@ def deck_text(deck: Deck) -> str:
         j = i
         while j < len(cards) and cards[j] == cards[i]:
             j += 1
-        tok = label_token(cards[i])
+        tok = cards[i]
         parts.append(tok if j - i == 1 else f"{tok}^{j - i}")
         i = j
     return ",".join(parts)
@@ -238,7 +206,7 @@ def apply(p: Permutation, deck: Deck) -> Deck:
     """Rearrange `deck` by sending the card at position i to position p(i)."""
     if p.n != deck.n:
         raise ValueError(f"length mismatch: permutation {p.n}, deck {deck.n}")
-    out = [0] * deck.n
+    out = [""] * deck.n
     for i, card in enumerate(deck.cards):
         out[p.images[i] - 1] = card
     return Deck(tuple(out))
@@ -291,9 +259,9 @@ def transition_cardinality(source: Deck, target: Deck) -> int:
     return out
 
 
-def label_positions(deck: Deck) -> dict[int, tuple[int, ...]]:
-    """Label id -> sorted 1-based positions, keyed in first-appearance order."""
-    out: dict[int, list[int]] = {}
+def label_positions(deck: Deck) -> dict[str, tuple[int, ...]]:
+    """Label -> sorted 1-based positions, keyed in first-appearance order."""
+    out: dict[str, list[int]] = {}
     for i, c in enumerate(deck.cards):
         out.setdefault(c, []).append(i + 1)
     return {c: tuple(v) for c, v in out.items()}
@@ -365,7 +333,7 @@ def enumerate_arrangements(deck: Deck, cap: int = 10**7) -> Iterator[Deck]:
     """Yield every distinct ordering of the deck's cards.
 
     Order is lexicographic, ranking labels by their first appearance in
-    `deck`, so it does not depend on which labels were interned first.
+    `deck`, not by the text of their tokens.
     Raises `CapExceededError` when the arrangement count exceeds `cap`.
     """
     total = arrangement_count(deck)
@@ -374,7 +342,7 @@ def enumerate_arrangements(deck: Deck, cap: int = 10**7) -> Iterator[Deck]:
             f"deck has {total} arrangements, above the cap of {cap}"
         )
 
-    def rec(counts: dict[int, int], prefix: list[int], left: int):
+    def rec(counts: dict[str, int], prefix: list[str], left: int):
         if left == 0:
             yield Deck(tuple(prefix))
             return
@@ -396,5 +364,5 @@ def sample_uniform_rearrangement(
     """Draw uniformly from the distinct orderings of the deck's cards."""
     if isinstance(gen, (int, np.integer)):
         gen = substream(int(gen), PURPOSE_TRANSITION_SAMPLE)
-    cards = np.asarray(deck.cards, dtype=np.int64)
-    return Deck(tuple(int(c) for c in cards[gen.permutation(deck.n)]))
+    cards = deck.cards
+    return Deck(tuple([cards[i] for i in gen.permutation(deck.n).tolist()]))

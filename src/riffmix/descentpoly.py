@@ -169,7 +169,7 @@ class _LabelTables:
         self.complete = len(self.tables) == len(self.labels)
         # Runs of consecutive labels that draw from one distribution: a
         # table of one size, or random keys of one width.
-        self.draw_groups: list[tuple[int, bool, int, list[int]]] = []
+        self.draw_groups: list[tuple[int, bool, int, list[str]]] = []
         for i, lab in enumerate(self.labels):
             is_table = lab in self.tables
             size = len(self.tables[lab]) if is_table else len(self.targets[lab])
@@ -180,7 +180,7 @@ class _LabelTables:
         if not self.complete:
             return
         slot_of = {}
-        seen: dict[int, int] = {}
+        seen: dict[str, int] = {}
         for i, c in enumerate(cards):
             slot_of[i] = seen.get(c, 0)
             seen[c] = slot_of[i] + 1
@@ -188,9 +188,9 @@ class _LabelTables:
             lab: np.zeros(len(self.tables[lab]), dtype=np.int16)
             for lab in self.labels
         }
-        self.mixed: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+        self.mixed: list[tuple[str, str, np.ndarray, np.ndarray]] = []
         # Per label, the source slot read at each mixed boundary, in order.
-        self.boundary_slots: dict[int, list[int]] = {
+        self.boundary_slots: dict[str, list[int]] = {
             lab: [] for lab in self.labels
         }
         for i in range(self.n - 1):
@@ -213,7 +213,7 @@ class _LabelTables:
         # Labels with no adjacent source slots add nothing.
         self.runs = [(lab, tab) for lab, tab in dtab.items() if tab.any()]
 
-    def distinct_rows(self) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
+    def distinct_rows(self) -> dict[str, tuple[np.ndarray, np.ndarray | None]]:
         """Per label, the first row of each group of table rows that agree
         in every column `descents` reads, and the size of each group (None
         when every group is a single row).  Groups come in lexicographic
@@ -244,7 +244,7 @@ class _LabelTables:
             out[lab] = (first, mult)
         return out
 
-    def descents(self, rows: dict[int, np.ndarray], size: int) -> np.ndarray:
+    def descents(self, rows: dict[str, np.ndarray], size: int) -> np.ndarray:
         """Descent counts of the members picking `rows[lab]` per label.
 
         `np.take` gathers through int16 row indices about twice as fast
@@ -369,7 +369,7 @@ def _counts_vectorized(d1: Deck, d2: Deck) -> list[int]:
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
         rem = np.arange(start, stop, dtype=np.int64)
-        rows: dict[int, np.ndarray] = {}
+        rows: dict[str, np.ndarray] = {}
         weight: int | np.ndarray = 1
         for lab, first, mult in radix:
             pick = rem % len(first)
@@ -477,7 +477,7 @@ class PolynomialFamily:
 
     anchor: Deck
     role: str
-    labels: tuple[int, ...]
+    labels: tuple[str, ...]
     codes: np.ndarray
     counts: np.ndarray
 

@@ -40,7 +40,6 @@ from .deck import (
     deck_text,
     descents,
     is_transition,
-    label_id,
     label_positions,
     parse_deck,
 )
@@ -183,15 +182,7 @@ def reduce_matching_to_riffle(inst: MatchingInstance) -> RiffleInstance:
         occ_y[y] = occ_y.get(y, 0) + 1
         occ_z[z] = occ_z.get(z, 0) + 1
     packets = tuple(
-        Deck(
-            (
-                label_id(f"x{x}"),
-                label_id(f"y{y}"),
-                label_id(f"z{z}"),
-                label_id("L"),
-            )
-        )
-        for x, y, z in inst.triples
+        Deck((f"x{x}", f"y{y}", f"z{z}", "L")) for x, y, z in inst.triples
     )
     deck_tokens: list[str] = []
     deck_tokens += [f"x{i}" for i in range(1, m + 1)]
@@ -202,8 +193,7 @@ def reduce_matching_to_riffle(inst: MatchingInstance) -> RiffleInstance:
     deck_tokens += _junk_runs(m, occ_y, "y")
     deck_tokens += _junk_runs(m, occ_z, "z")
     deck_tokens += ["L"] * max(len(inst.triples) - m, 0)
-    deck = Deck(tuple(label_id(t) for t in deck_tokens))
-    return RiffleInstance(packets, deck)
+    return RiffleInstance(packets, Deck(tuple(deck_tokens)))
 
 
 def _bracket_run(index: int) -> list[str]:
@@ -221,50 +211,21 @@ def reduce_matching_to_riffle_bracketed(
     filler to a bare c.  Brackets in every deck built here are properly
     matched with no nesting, which keeps runs unambiguous.
     """
-    m = inst.m
+    offset = {"x": 0, "y": inst.m, "z": 2 * inst.m}
 
-    def x_run(i: int) -> list[str]:
-        return _bracket_run(i)
+    def encode(deck: Deck) -> Deck:
+        out: list[str] = []
+        for tok in deck.cards:
+            if tok == "L":
+                out.append("c")
+            else:
+                out += _bracket_run(offset[tok[0]] + int(tok[1:]))
+        return Deck(tuple(out))
 
-    def y_run(i: int) -> list[str]:
-        return _bracket_run(m + i)
-
-    def z_run(i: int) -> list[str]:
-        return _bracket_run(2 * m + i)
-
-    def deck_of(tokens: list[str]) -> Deck:
-        return Deck(tuple(label_id(t) for t in tokens))
-
-    occ_x: dict[int, int] = {}
-    occ_y: dict[int, int] = {}
-    occ_z: dict[int, int] = {}
-    for x, y, z in inst.triples:
-        occ_x[x] = occ_x.get(x, 0) + 1
-        occ_y[y] = occ_y.get(y, 0) + 1
-        occ_z[z] = occ_z.get(z, 0) + 1
-    packets = tuple(
-        deck_of(x_run(x) + y_run(y) + z_run(z) + ["c"])
-        for x, y, z in inst.triples
+    plain = reduce_matching_to_riffle(inst)
+    return RiffleInstance(
+        tuple(encode(p) for p in plain.packets), encode(plain.deck)
     )
-    tokens: list[str] = []
-    for i in range(1, m + 1):
-        tokens += x_run(i)
-    for i in range(1, m + 1):
-        tokens += y_run(i)
-    for i in range(1, m + 1):
-        tokens += z_run(i)
-    tokens += ["c"] * m
-    for i in range(1, m + 1):
-        for _ in range(max(occ_x.get(i, 0) - 1, 0)):
-            tokens += x_run(i)
-    for i in range(1, m + 1):
-        for _ in range(max(occ_y.get(i, 0) - 1, 0)):
-            tokens += y_run(i)
-    for i in range(1, m + 1):
-        for _ in range(max(occ_z.get(i, 0) - 1, 0)):
-            tokens += z_run(i)
-    tokens += ["c"] * max(len(inst.triples) - m, 0)
-    return RiffleInstance(packets, deck_of(tokens))
 
 
 def _separator_token(used: set[str]) -> str:
@@ -284,19 +245,17 @@ def reduce_riffle_to_mincuts(inst: RiffleInstance) -> MinCutsInstance:
     separators.  A transition within budget p-1 (p packets) must keep
     each packet ascending, which is exactly an interleaving.
     """
-    used = set()
+    used = set(inst.deck.cards)
     for p in inst.packets:
-        used.update(tok for tok in p.tokens())
-    used.update(inst.deck.tokens())
+        used.update(p.cards)
     sep = _separator_token(used)
-    sep_id = label_id(sep)
-    source_cards: list[int] = []
+    source_cards: list[str] = []
     for idx, p in enumerate(inst.packets):
         if idx:
-            source_cards.append(sep_id)
+            source_cards.append(sep)
         source_cards.extend(p.cards)
     seps = len(inst.packets) - 1
-    target_cards = list(inst.deck.cards) + [sep_id] * seps
+    target_cards = list(inst.deck.cards) + [sep] * seps
     return MinCutsInstance(
         Deck(tuple(source_cards)),
         Deck(tuple(target_cards)),
@@ -365,11 +324,11 @@ def solve_riffle(
     deck = inst.deck.cards
     if sum(len(p) for p in packets) != len(deck):
         return False, None
-    combined: dict[int, int] = {}
+    combined: dict[str, int] = {}
     for p in packets:
         for c in p:
             combined[c] = combined.get(c, 0) + 1
-    goal: dict[int, int] = {}
+    goal: dict[str, int] = {}
     for c in deck:
         goal[c] = goal.get(c, 0) + 1
     if combined != goal:
@@ -601,7 +560,7 @@ def strided_descent_counts(
         return eulerian_row(n)
     # The deck 1,...,h repeated n times gives each residue class its own
     # label, so its maps onto itself are the residue-preserving ones.
-    deck = Deck(tuple(label_id(str(r + 1)) for r in range(h)) * n)
+    deck = Deck(tuple(str(r + 1) for r in range(h)) * n)
     return exact_descent_polynomial(deck, deck, cap=cap).coefficients
 
 

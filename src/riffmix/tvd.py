@@ -399,7 +399,7 @@ def mc_tvd_curve(
         for weights, denom in (shuffle_weights(s.anchor.n, a) for a in packets)
     ]
     count = s.arrangements
-    memo: dict[tuple[int, ...], list[float]] = {}
+    memo: dict[tuple[str, ...], list[float]] = {}
     totals = [KahanSum() for _ in packets]
     for idx, quota in enumerate(quotas(k, STREAMS)):
         parts = [KahanSum() for _ in packets]

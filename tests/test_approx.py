@@ -70,8 +70,8 @@ class TestMoments:
             d1, d2 = random_pair(tokens, seed)
             mean, var = brute_moments(d1, d2)
             mom = descent_moments(d1, d2)
-            assert mom.mean == mean, (tokens, d2.tokens())
-            assert mom.variance == var, (tokens, d2.tokens())
+            assert mom.mean == mean, (tokens, d2.cards)
+            assert mom.variance == var, (tokens, d2.cards)
             assert mom.n == d1.n
 
     def test_single_label_deck_matches_eulerian_moments(self):

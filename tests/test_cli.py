@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import riffmix
 from riffmix import parse_deck
 from riffmix.cli import CSV_TAG, POLY_HEADER, RESULT_HEADER, ResultRow, main
 from riffmix.hardness import MatchingInstance, MinCutsInstance, RiffleInstance, parse_instance
@@ -313,7 +318,7 @@ class TestHardness:
         assert code == 0
         inst = parse_instance(out.strip())
         assert isinstance(inst, RiffleInstance)
-        assert "[" in inst.deck.tokens()
+        assert "[" in inst.deck.cards
 
     def test_reduce_riffle_line_to_mincuts(self, capsys):
         code, out, _ = run(
@@ -368,6 +373,41 @@ class TestHardness:
         assert lines[-1] == "battery count=8 disagreements=0"
         assert len(lines) == 9
         assert all(line.endswith("ok") for line in lines[:-1])
+
+
+class TestHashSeed:
+    """Labels hash as strings, so set and dict order of labels may change
+    from process to process; printed results must not."""
+
+    COMMANDS = [
+        ("tvd", "--scenario", "Bridge1", "--method", "mc-normal",
+         "--shuffles", "3..5", "--k", "5"),
+        ("tvd", "--scenario", "Blackjack1", "--method", "mc-hist",
+         "--shuffles", "4..5", "--k", "3", "--hist-samples", "2000",
+         "--seed", "5"),
+        ("hardness", "battery", "--count", "4"),
+    ]
+
+    @staticmethod
+    def stdout_under(hash_seed, argv):
+        env = {k: v for k, v in os.environ.items() if k != "RIFFMIX_CACHE_DIR"}
+        env["PYTHONHASHSEED"] = hash_seed
+        env["PYTHONPATH"] = str(Path(riffmix.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "riffmix.cli", *argv],
+            env=env,
+            capture_output=True,
+            check=True,
+        )
+        return proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv", COMMANDS, ids=["mc-normal", "mc-hist", "battery"]
+    )
+    def test_stdout_does_not_depend_on_hash_seed(self, argv):
+        first = self.stdout_under("1", argv)
+        assert first
+        assert self.stdout_under("2", argv) == first
 
 
 class TestExplore:

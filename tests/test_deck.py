@@ -27,7 +27,6 @@ from riffmix import (
     sample_uniform_transition,
     transition_cardinality,
 )
-from riffmix.deck import label_id, label_token
 from riffmix.rng import substream
 
 
@@ -49,14 +48,14 @@ def test_parse_plain_terms():
     d = parse_deck("1,1,2,2")
     assert d.n == 4
     assert deck_text(d) == "1^2,2^2"
-    assert d.tokens() == ("1", "1", "2", "2")
+    assert d.cards == ("1", "1", "2", "2")
 
 
 def test_parse_powers_and_groups():
     assert deck_text(parse_deck("1^3,2")) == "1^3,2"
-    assert parse_deck("(1,2)^3").tokens() == ("1", "2", "1", "2", "1", "2")
-    assert parse_deck("(a,b)^2,c").tokens() == ("a", "b", "a", "b", "c")
-    assert parse_deck(" 1 , 2 ").tokens() == ("1", "2")
+    assert parse_deck("(1,2)^3").cards == ("1", "2", "1", "2", "1", "2")
+    assert parse_deck("(a,b)^2,c").cards == ("a", "b", "a", "b", "c")
+    assert parse_deck(" 1 , 2 ").cards == ("1", "2")
     with pytest.raises(DeckParseError):
         parse_deck("(a,b^2)^2")
 
@@ -64,7 +63,7 @@ def test_parse_powers_and_groups():
 def test_parse_multichar_tokens():
     d = parse_deck("ace,ace,king")
     assert deck_text(d) == "ace^2,king"
-    assert d.counts[label_id("ace")] == 2
+    assert d.counts["ace"] == 2
 
 
 def test_parse_errors_carry_position():
@@ -78,16 +77,14 @@ def test_text_roundtrip_random_decks():
     gen = substream(11, 900)
     for _ in range(50):
         n = int(gen.integers(1, 9))
-        cards = tuple(
-            label_id(str(int(gen.integers(1, 4)))) for _ in range(n)
-        )
+        cards = tuple(str(int(gen.integers(1, 4))) for _ in range(n))
         d = Deck(cards)
         assert parse_deck(deck_text(d)) == d
 
 
-def test_label_token_rejects_unknown_id():
-    with pytest.raises(ValueError):
-        label_token(10**9)
+def test_decks_are_plain_values():
+    assert Deck(("ace", "ace", "king")) == parse_deck("ace^2,king")
+    assert deck_text(Deck(("x1", "L"))) == "x1,L"
 
 
 def test_signature_ignores_order():
@@ -117,9 +114,9 @@ def test_descents_counts_strict_drops():
 def test_apply_routes_cards_to_image_positions():
     d = parse_deck("1,2,3,4,5")
     out = apply(Permutation((2, 3, 5, 1, 4)), d)
-    assert out.tokens() == ("4", "1", "2", "5", "3")
+    assert out.cards == ("4", "1", "2", "5", "3")
     rep = apply(Permutation((1, 4, 2, 3)), parse_deck("1,1,2,2"))
-    assert rep.tokens() == ("1", "2", "2", "1")
+    assert rep.cards == ("1", "2", "2", "1")
 
 
 def test_inverse_and_compose():
@@ -130,7 +127,7 @@ def test_inverse_and_compose():
         q = Permutation(tuple(int(v) + 1 for v in gen.permutation(n)))
         assert compose(p, inverse(p)) == identity(n)
         assert compose(inverse(p), p) == identity(n)
-        d = Deck(tuple(label_id(str(i)) for i in range(n)))
+        d = Deck(tuple(str(i) for i in range(n)))
         assert apply(compose(p, q), d) == apply(q, apply(p, d))
 
 
@@ -195,8 +192,8 @@ def test_transition_cap():
 def test_label_positions_are_one_based_and_sorted():
     d = parse_deck("2,1,2,1,2")
     pos = label_positions(d)
-    assert pos[label_id("2")] == (1, 3, 5)
-    assert pos[label_id("1")] == (2, 4)
+    assert pos["2"] == (1, 3, 5)
+    assert pos["1"] == (2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +202,7 @@ def test_label_positions_are_one_based_and_sorted():
 
 def test_enumerate_arrangements_lex_and_complete():
     d = parse_deck("1,1,2,2")
-    seqs = [a.tokens() for a in enumerate_arrangements(d)]
+    seqs = [a.cards for a in enumerate_arrangements(d)]
     assert seqs == [
         ("1", "1", "2", "2"),
         ("1", "2", "1", "2"),
@@ -218,10 +215,10 @@ def test_enumerate_arrangements_lex_and_complete():
 
 
 def test_enumerate_arrangements_ignores_interning_order():
-    # Interned first, label "ord-b" has the smaller id.
-    parse_deck("ord-b")
     first = next(enumerate_arrangements(parse_deck("ord-a,ord-b")))
-    assert first.tokens() == ("ord-a", "ord-b")
+    assert first.cards == ("ord-a", "ord-b")
+    first = next(enumerate_arrangements(parse_deck("ord-b,ord-a")))
+    assert first.cards == ("ord-b", "ord-a")
 
 
 def test_arrangement_count_golden():

@@ -496,6 +496,26 @@ def test_histogram_cache_store_load_validation(tmp_path):
     assert cache_mod.load(tmp_path, other) is None
 
 
+def test_histogram_cache_key_digest_and_file_are_pinned(tmp_path):
+    key = cache_mod.HistogramKey("1^2,2^2", "2,1,2,1", 1000, 7, 4, 3)
+    assert key.digest() == "baaa40877ae21622fb3c7590"
+    cache_mod.store(tmp_path, key, [1, 2, 3, 4], 2)
+    (path,) = tmp_path.iterdir()
+    assert path.name == "hist_baaa40877ae21622fb3c7590.txt"
+    assert path.read_text() == (
+        "riffmix histogram v2\n"
+        "source=1^2,2^2\n"
+        "target=2,1,2,1\n"
+        "samples=1000\n"
+        "seed=7\n"
+        "streams=4\n"
+        "sampler=3\n"
+        "completed=2\n"
+        "counts=1,2,3,4\n"
+    )
+    assert cache_mod.load(tmp_path, key) == ((1, 2, 3, 4), 2)
+
+
 def test_histogram_cache_skips_other_samplers(tmp_path):
     d1 = parse_deck("1,1,2,2")
     d2 = parse_deck("2,1,1,2")

@@ -10,6 +10,7 @@ import pytest
 from riffmix import (
     CapExceededError,
     Permutation,
+    deck_text,
     descents,
     enumerate_transitions,
     eulerian_row,
@@ -115,15 +116,30 @@ class TestReductions:
         mi = MatchingInstance(m=1, triples=((1, 1, 1),))
         ri = reduce_matching_to_riffle(mi)
         assert len(ri.packets) == 1
-        assert ri.packets[0].tokens() == ("x1", "y1", "z1", "L")
-        assert ri.deck.tokens() == ("x1", "y1", "z1", "L")
+        assert ri.packets[0].cards == ("x1", "y1", "z1", "L")
+        assert ri.deck.cards == ("x1", "y1", "z1", "L")
 
     def test_single_triple_bracketed_reduction(self):
         mi = MatchingInstance(m=1, triples=((1, 1, 1),))
         ri = reduce_matching_to_riffle_bracketed(mi)
         run = ("[", "c", "]", "[", "c", "c", "]", "[", "c", "c", "c", "]", "c")
-        assert ri.packets[0].tokens() == run
-        assert ri.deck.tokens() == run
+        assert ri.packets[0].cards == run
+        assert ri.deck.cards == run
+
+    def test_bracketed_reduction_golden(self):
+        mi = parse_instance("3dm m=2 triples=(1,1,1);(2,2,2);(1,2,1)")
+        ri = reduce_matching_to_riffle_bracketed(mi)
+        assert [deck_text(p) for p in ri.packets] == [
+            "[,c,],[,c^3,],[,c^5,],c",
+            "[,c^2,],[,c^4,],[,c^6,],c",
+            "[,c,],[,c^4,],[,c^5,],c",
+        ]
+        # Every run once and m fillers, then the junk: the surplus copy
+        # of x1, y2 and z1 each, and a filler for the surplus triple.
+        assert deck_text(ri.deck) == (
+            "[,c,],[,c^2,],[,c^3,],[,c^4,],[,c^5,],[,c^6,],c^2,"
+            "[,c,],[,c^4,],[,c^5,],c"
+        )
 
     def test_bracketed_brackets_match_without_nesting(self):
         for seed in range(6):
@@ -131,7 +147,7 @@ class TestReductions:
             ri = reduce_matching_to_riffle_bracketed(mi)
             for deck in (*ri.packets, ri.deck):
                 depth = 0
-                for tok in deck.tokens():
+                for tok in deck.cards:
                     if tok == "[":
                         depth += 1
                         assert depth == 1
@@ -166,8 +182,8 @@ class TestReductions:
             packets=(parse_deck("1"), parse_deck("2")), deck=parse_deck("1,2")
         )
         mc = reduce_riffle_to_mincuts(ri)
-        assert mc.source.tokens() == ("1", "L", "2")
-        assert mc.target.tokens() == ("1", "2", "L")
+        assert mc.source.cards == ("1", "L", "2")
+        assert mc.target.cards == ("1", "2", "L")
         assert mc.budget == 1
 
     def test_mincuts_separator_avoids_used_labels(self):
@@ -176,8 +192,8 @@ class TestReductions:
             deck=parse_deck("L,Lx,L2"),
         )
         mc = reduce_riffle_to_mincuts(ri)
-        assert mc.source.tokens() == ("L", "L2", "L3", "Lx")
-        assert mc.target.tokens() == ("L", "Lx", "L2", "L3")
+        assert mc.source.cards == ("L", "L2", "L3", "Lx")
+        assert mc.target.cards == ("L", "Lx", "L2", "L3")
 
 
 class TestSolvers:

@@ -37,7 +37,7 @@ def test_two_packet_example():
     p = sequence_to_permutation((2, 1, 1, 2, 1), 2)
     assert p.images == (2, 3, 5, 1, 4)
     d = parse_deck("1,2,3,4,5")
-    assert apply(p, d).tokens() == ("4", "1", "2", "5", "3")
+    assert apply(p, d).cards == ("4", "1", "2", "5", "3")
 
 
 def test_three_packet_example():

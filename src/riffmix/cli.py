@@ -267,6 +267,13 @@ def cmd_tvd(args: argparse.Namespace) -> int:
         for k, est in zip(shuffles, estimates)
     ]
     _emit_rows(rows, args.format)
+    if estimates[0].unproven is not None:
+        print(
+            f"mc-normal: {estimates[0].unproven} distinct sampled arrangements "
+            f"(of k={args.k} draws) have a normal curve outside its proven "
+            "error regime (variance^3 <= 294^2 * mean^2)",
+            file=sys.stderr,
+        )
     return 0
 
 

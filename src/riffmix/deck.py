@@ -177,8 +177,21 @@ def parse_deck(text: str) -> Deck:
     return Deck(tuple(cards))
 
 
+def _writable(tok: object) -> bool:
+    """Whether `parse_deck` reads `tok` back as one label token."""
+    return (
+        isinstance(tok, str)
+        and tok != ""
+        and not any(ch.isspace() or ch in _DELIMS for ch in tok)
+    )
+
+
 def deck_text(deck: Deck) -> str:
-    """Canonical expression for `deck`: run-length encoded, comma separated."""
+    """Canonical expression for `deck`: run-length encoded, comma separated.
+
+    Raises `DeckParseError` for a card that is not a label token
+    `parse_deck` could read back, such as one holding a comma.
+    """
     parts: list[str] = []
     i = 0
     cards = deck.cards
@@ -187,6 +200,8 @@ def deck_text(deck: Deck) -> str:
         while j < len(cards) and cards[j] == cards[i]:
             j += 1
         tok = cards[i]
+        if not _writable(tok):
+            raise DeckParseError(f"card {i + 1} ({tok!r}) is not a label token")
         parts.append(tok if j - i == 1 else f"{tok}^{j - i}")
         i = j
     return ",".join(parts)

@@ -27,7 +27,7 @@ import numpy as np
 from . import cache as _cache
 from .deck import Deck, deck_text, label_positions, transition_cardinality
 from .errors import CapExceededError, InconsistentProbabilitiesError
-from .rng import PURPOSE_HISTOGRAM, STREAMS, quotas, substream
+from .rng import PURPOSE_HISTOGRAM, STREAMS, quotas, substreams
 
 # Transition sets at or below this size are enumerated in pure Python;
 # larger ones go through the vectorized engine.
@@ -669,7 +669,7 @@ def mc_descent_histogram(
         live = [t for t in range(s, stop) if per_stream[t]]
         counts += tables.sample_counts(
             [per_stream[t] for t in live],
-            (substream(seed, PURPOSE_HISTOGRAM, t) for t in live),
+            substreams(seed, (PURPOSE_HISTOGRAM,), live),
         )
         s = stop
         if cache_dir is not None and (s < streams or first_stream < streams):

@@ -39,6 +39,7 @@ from .approx import (
     PairStatistics,
     descent_moments,
     normal_coefficient_estimate,
+    normal_error_bound_applies,
     tail_extrapolate,
 )
 from .deck import (
@@ -59,7 +60,7 @@ from .descentpoly import (
     shuffle_weights,
 )
 from .errors import CapExceededError
-from .rng import PURPOSE_TVD, STREAMS, KahanSum, quotas, substream
+from .rng import PURPOSE_TVD, STREAMS, KahanSum, quotas, substreams
 
 # Deviation bounds for the sampling estimator: (alpha, P(exceed) bound).
 ALPHA_TABLE: tuple[tuple[float, float], ...] = (
@@ -225,6 +226,9 @@ class TvdEstimate:
 
     `alpha_bounds` lists (alpha, halfwidth, chance) rows: the estimate is
     within `halfwidth` of the true distance except with the stated chance.
+    `unproven`, set by the normal backend only, counts the distinct
+    sampled arrangements whose normal curve lies outside the regime of
+    `normal_error_bound_applies`.
     """
 
     scenario: str
@@ -235,6 +239,7 @@ class TvdEstimate:
     seed: int
     alpha_bounds: tuple[tuple[float, float, float], ...]
     hist_samples: int | None = None
+    unproven: int | None = None
 
 
 def _alpha_bounds(k: int) -> tuple[tuple[float, float, float], ...]:
@@ -293,11 +298,15 @@ def _histogram_coefficients(
 
 
 def _normal_coefficients(
-    s: Scenario, counterpart: Deck, stats: PairStatistics | None
+    s: Scenario,
+    counterpart: Deck,
+    stats: PairStatistics | None,
+    unproven: list[tuple[str, ...]],
 ) -> tuple[int, ...] | tuple[float, ...]:
     """Moment-matched normal curve, or the exact point mass when the
     descent count is deterministic.  `stats` is the target's, when every
-    counterpart shares one target."""
+    counterpart shares one target.  The cards of a counterpart whose
+    curve has no proven error bound are appended to `unproven`."""
     d1, d2 = s.pair(counterpart)
     moments = descent_moments(d1, d2, stats)
     m = transition_cardinality(d1, d2)
@@ -308,6 +317,8 @@ def _normal_coefficients(
                 "deterministic descent count is not an integer; this is a bug"
             )
         return tuple(m if j == d else 0 for j in range(d1.n))
+    if not normal_error_bound_applies(moments):
+        unproven.append(counterpart.cards)
     return tuple(normal_coefficient_estimate(j, moments, m) for j in range(d1.n))
 
 
@@ -361,7 +372,9 @@ def mc_tvd_curve(
     - "exact-oracle": exact transition polynomials (small decks only);
     - "mc-histogram": sampled histograms of size `hist_samples`, with an
       optional log-scale tail fit when `extrapolate` is set;
-    - "normal-approx": moment-matched normal curves.
+    - "normal-approx": moment-matched normal curves; each estimate's
+      `unproven` counts the distinct arrangements outside the curve's
+      proven error regime.
 
     Arrangements are drawn once for all packet counts.  Sampling is split
     over fixed logical streams and merged in stream order, so the value
@@ -371,6 +384,7 @@ def mc_tvd_curve(
     """
     if k < 1:
         raise ValueError("sample count must be positive")
+    unproven: list[tuple[str, ...]] | None = None
     if backend == "exact-oracle":
         method = "mc-exact-backend"
         coefficients = partial(_exact_coefficients, transition_cap=transition_cap)
@@ -388,9 +402,11 @@ def mc_tvd_curve(
         )
     elif backend == "normal-approx":
         method = "normal"
+        unproven = []
         coefficients = partial(
             _normal_coefficients,
             stats=PairStatistics(s.anchor) if s.kind == FIXED_TARGET else None,
+            unproven=unproven,
         )
     else:
         raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
@@ -401,10 +417,16 @@ def mc_tvd_curve(
     count = s.arrangements
     memo: dict[tuple[str, ...], list[float]] = {}
     totals = [KahanSum() for _ in packets]
-    for idx, quota in enumerate(quotas(k, STREAMS)):
+    per_stream = quotas(k, STREAMS)
+    generators = substreams(
+        seed, (PURPOSE_TVD,), [t for t, quota in enumerate(per_stream) if quota]
+    )
+    # Every stream adds its part, empty or not: adding 0.0 to a
+    # compensated sum can change its total.
+    for quota in per_stream:
         parts = [KahanSum() for _ in packets]
         if quota:
-            gen = substream(seed, PURPOSE_TVD, idx)
+            gen = next(generators)
         for _ in range(quota):
             counterpart = sample_uniform_rearrangement(s.anchor, gen)
             terms = memo.get(counterpart.cards)
@@ -425,6 +447,7 @@ def mc_tvd_curve(
             seed=seed,
             alpha_bounds=_alpha_bounds(k),
             hist_samples=hist_samples if backend == "mc-histogram" else None,
+            unproven=None if unproven is None else len(unproven),
         )
         for a, total in zip(packets, totals)
     ]

@@ -213,6 +213,20 @@ class TestPoly:
         assert sum(values) == pytest.approx(4.0, rel=1e-9)
         assert all(g for v, g in zip(values, gauges) if v > 0)
 
+    def test_tvd_normal_reports_unproven_curves_on_stderr(self, capsys):
+        code, out, err = run(
+            capsys,
+            "tvd", "--scenario", "Blackjack1", "--method", "mc-normal",
+            "--shuffles", "3..6", "--k", "40", "--seed", "77",
+        )
+        assert code == 0, err
+        values = [ResultRow.from_csv(line).value for line in csv_body(out)[1]]
+        assert values == [0.925, 0.05305012843553166, 0.15446514309415865,
+                          0.09974192816804986]
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("mc-normal: 40 distinct sampled arrangements")
+
     def test_normal_flags_unproven_bound(self, capsys):
         code, out, _ = run(
             capsys,

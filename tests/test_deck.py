@@ -82,6 +82,24 @@ def test_text_roundtrip_random_decks():
         assert parse_deck(deck_text(d)) == d
 
 
+@pytest.mark.parametrize(
+    "cards", [("a,b",), (1, 2), ("",), ("a b",), ("x", "y^2"), ("(z)",), ("\t",)]
+)
+def test_text_refuses_cards_it_cannot_write(cards):
+    # `a,b` would read back as two cards; `1` is no label token at all.
+    with pytest.raises(DeckParseError):
+        deck_text(Deck(cards))
+
+
+def test_text_roundtrip_any_writable_tokens():
+    labels = ("ace", "x1", "L", "10", "é", "_", "a.b", "[1]")
+    gen = substream(12, 900)
+    for _ in range(50):
+        n = int(gen.integers(1, 12))
+        d = Deck(tuple(labels[int(i)] for i in gen.integers(0, len(labels), n)))
+        assert parse_deck(deck_text(d)) == d
+
+
 def test_decks_are_plain_values():
     assert Deck(("ace", "ace", "king")) == parse_deck("ace^2,king")
     assert deck_text(Deck(("x1", "L"))) == "x1,L"

@@ -276,6 +276,16 @@ class TestMcTvd:
             scenario(name), [8, 16, 32, 64], k=40, seed=77, backend="normal-approx"
         )
         assert [est.value for est in curve] == values
+        # Every distinct arrangement of these 52-card decks is far from the
+        # regime where the normal curve's error bound is proven.
+        assert [est.unproven for est in curve] == [40] * 4
+
+    def test_only_the_normal_backend_counts_unproven_curves(self):
+        s = custom_scenario("1,1,2", FIXED_SOURCE)
+        assert mc_tvd(s, a=2, k=20, seed=1, backend="exact-oracle").unproven is None
+        # Distinct cards: one transition per pair, a point mass, not a curve.
+        s = custom_scenario("1,2,3", FIXED_SOURCE)
+        assert mc_tvd(s, a=2, k=20, seed=1, backend="normal-approx").unproven == 0
 
     def test_extrapolated_histogram_backend_runs(self):
         s = custom_scenario("1^6,2^6", FIXED_SOURCE)

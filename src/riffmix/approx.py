@@ -296,11 +296,23 @@ def normal_error_bound_applies(moments: DescentMoments) -> bool:
 
 
 def normal_polynomial_estimate(
-    d1: Deck, d2: Deck
-) -> tuple[DescentMoments, tuple[float, ...]]:
-    """All degrees at once: moments plus the estimated coefficient vector."""
-    moments = descent_moments(d1, d2)
+    d1: Deck, d2: Deck, stats: PairStatistics | None = None
+) -> tuple[DescentMoments, tuple[int, ...] | tuple[float, ...]]:
+    """All degrees at once: moments plus the estimated coefficient vector.
+
+    When the descent count is deterministic the vector is the exact point
+    mass, every transition at the one degree, in integers.  `stats` is
+    passed on to `descent_moments`.
+    """
+    moments = descent_moments(d1, d2, stats)
     m = transition_cardinality(d1, d2)
+    if moments.variance == 0:
+        d = int(moments.mean)
+        if moments.mean != d:
+            raise ArithmeticError(
+                "deterministic descent count is not an integer; this is a bug"
+            )
+        return moments, tuple(m if j == d else 0 for j in range(d1.n))
     est = tuple(
         normal_coefficient_estimate(d, moments, m) for d in range(d1.n)
     )
@@ -327,15 +339,22 @@ class TailFit:
     min_count: int
 
     def log_predict(self, d: int | float) -> float:
-        u = float(Fraction(d) - self.center)
-        acc = 0.0
-        for k in range(self.degree, -1, -1):
-            acc = acc * u + float(self.coefficients[k])
-        return acc
+        return _log_model(self.coefficients, self.center, d)
 
     def predict(self, d: int | float) -> float:
         """Estimated coefficient at degree `d` (may be far from the window)."""
         return math.exp(self.log_predict(d))
+
+
+def _log_model(
+    coefficients: tuple[Fraction, ...], center: Fraction, d: int | float
+) -> float:
+    """sum_k coefficients[k] * (d - center)^k, by Horner's rule in floats."""
+    u = float(Fraction(d) - center)
+    acc = 0.0
+    for c in reversed(coefficients):
+        acc = acc * u + float(c)
+    return acc
 
 
 def _solve_rational(
@@ -415,24 +434,16 @@ def tail_extrapolate(
     moments = [sum(u**k for u in us) for k in range(2 * m - 1)]
     matrix = [[moments[r + c] for c in range(m)] for r in range(m)]
     rhs = [sum(y * u**r for y, u in zip(ys, us)) for r in range(m)]
-    beta = _solve_rational(matrix, rhs)
-    fit = TailFit(
-        window=(lo, hi),
-        degree=degree,
-        center=center,
-        coefficients=tuple(beta),
-        residual_rms=0.0,
-        min_count=min_count,
-    )
+    beta = tuple(_solve_rational(matrix, rhs))
     sq = 0.0
     for d, y in zip(points, ys):
-        r = float(y) - fit.log_predict(d)
+        r = float(y) - _log_model(beta, center, d)
         sq += r * r
     return TailFit(
         window=(lo, hi),
         degree=degree,
         center=center,
-        coefficients=tuple(beta),
+        coefficients=beta,
         residual_rms=math.sqrt(sq / len(points)),
         min_count=min_count,
     )

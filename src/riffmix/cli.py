@@ -24,12 +24,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approx import (
-    descent_moments,
-    normal_coefficient_estimate,
-    normal_error_bound_applies,
-)
-from .deck import Deck, deck_text, parse_deck, transition_cardinality
+from .approx import normal_error_bound_applies, normal_polynomial_estimate
+from .deck import Deck, deck_text, parse_deck
 from .descentpoly import (
     eulerian_row,
     exact_descent_polynomial,
@@ -274,6 +270,14 @@ def cmd_tvd(args: argparse.Namespace) -> int:
             "error regime (variance^3 <= 294^2 * mean^2)",
             file=sys.stderr,
         )
+    if estimates[0].unfitted is not None:
+        print(
+            f"mc-hist: {estimates[0].unfitted} distinct sampled arrangements "
+            f"(of k={args.k} draws) have a histogram too sparse for a "
+            f"degree-{args.fit_degree} tail fit; they keep their unpatched "
+            "estimates",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -312,7 +316,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
             )
         compact = ",".join(repr(float(e)) for e in est)
     else:
-        moments = descent_moments(d1, d2)
+        moments, est = normal_polynomial_estimate(d1, d2)
         if moments.variance == 0:
             print(
                 "descent count is deterministic "
@@ -320,11 +324,9 @@ def cmd_poly(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 3
-        m = transition_cardinality(d1, d2)
-        flagged = normal_error_bound_applies(moments)
-        for d in range(n):
-            c = normal_coefficient_estimate(d, moments, m)
-            entries.append((d, repr(c), "normal", "" if flagged else "unproven"))
+        gauge = "" if normal_error_bound_applies(moments) else "unproven"
+        for d, c in enumerate(est):
+            entries.append((d, repr(c), "normal", gauge))
         compact = ",".join(e[1] for e in entries)
     if args.format == "csv":
         print(CSV_TAG)
@@ -385,25 +387,32 @@ def cmd_hardness_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _solve_any(line: str, node_cap: int) -> tuple[str, str]:
-    inst = parse_instance(line)
+def _solve(inst, node_cap: int) -> tuple[bool, object]:
+    """Solve one instance of any kind, verifying a yes answer's witness."""
     if isinstance(inst, MatchingInstance):
         ok, witness = solve_matching(inst)
-        if ok and not matching_witness_ok(inst, witness):
-            raise AssertionError("matching witness failed verification")
-        body = (
-            ";".join(f"({x},{y},{z})" for x, y, z in witness) if ok else ""
-        )
-        return ("yes", body) if ok else ("no", "")
+        checked, what = matching_witness_ok, "matching"
+    elif isinstance(inst, RiffleInstance):
+        ok, witness = solve_riffle(inst, node_cap=node_cap)
+        checked, what = riffle_witness_ok, "interleaving"
+    else:
+        ok, witness = solve_mincuts(inst, node_cap=node_cap)
+        checked, what = mincuts_witness_ok, "transition"
+    if ok and not checked(inst, witness):
+        raise AssertionError(f"{what} witness failed verification")
+    return ok, witness
+
+
+def _solve_any(line: str, node_cap: int) -> tuple[str, str]:
+    inst = parse_instance(line)
+    ok, witness = _solve(inst, node_cap)
+    if not ok:
+        return "no", ""
+    if isinstance(inst, MatchingInstance):
+        return "yes", ";".join(f"({x},{y},{z})" for x, y, z in witness)
     if isinstance(inst, RiffleInstance):
-        ok, schedule = solve_riffle(inst, node_cap=node_cap)
-        if ok and not riffle_witness_ok(inst, schedule):
-            raise AssertionError("interleaving witness failed verification")
-        return ("yes", ",".join(map(str, schedule))) if ok else ("no", "")
-    ok, perm = solve_mincuts(inst, node_cap=node_cap)
-    if ok and not mincuts_witness_ok(inst, perm):
-        raise AssertionError("transition witness failed verification")
-    return ("yes", str(perm)) if ok else ("no", "")
+        return "yes", ",".join(map(str, witness))
+    return "yes", str(witness)
 
 
 def cmd_hardness_solve(args: argparse.Namespace) -> int:
@@ -422,25 +431,17 @@ def cmd_hardness_solve(args: argparse.Namespace) -> int:
 def cmd_hardness_battery(args: argparse.Namespace) -> int:
     disagreements = 0
     for i, inst in enumerate(_gen_instances(args)):
-        expect, witness = solve_matching(inst)
-        if expect and not matching_witness_ok(inst, witness):
-            raise AssertionError("matching witness failed verification")
-        answers = {"matching": expect}
         riffle = reduce_matching_to_riffle(inst)
-        got, sched = solve_riffle(riffle, node_cap=args.node_cap)
-        if got and not riffle_witness_ok(riffle, sched):
-            raise AssertionError("interleaving witness failed verification")
-        answers["riffle"] = got
-        bracketed = reduce_matching_to_riffle_bracketed(inst)
-        got_b, sched_b = solve_riffle(bracketed, node_cap=args.node_cap)
-        if got_b and not riffle_witness_ok(bracketed, sched_b):
-            raise AssertionError("interleaving witness failed verification")
-        answers["riffle-brackets"] = got_b
-        cuts = reduce_riffle_to_mincuts(riffle)
-        got_c, perm = solve_mincuts(cuts, node_cap=args.node_cap)
-        if got_c and not mincuts_witness_ok(cuts, perm):
-            raise AssertionError("transition witness failed verification")
-        answers["mincuts"] = got_c
+        forms = {
+            "matching": inst,
+            "riffle": riffle,
+            "riffle-brackets": reduce_matching_to_riffle_bracketed(inst),
+            "mincuts": reduce_riffle_to_mincuts(riffle),
+        }
+        answers = {
+            name: _solve(form, args.node_cap)[0] for name, form in forms.items()
+        }
+        expect = answers["matching"]
         agree = len(set(answers.values())) == 1
         disagreements += 0 if agree else 1
         status = "ok" if agree else "MISMATCH " + str(answers)

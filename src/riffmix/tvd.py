@@ -37,9 +37,8 @@ from pathlib import Path
 
 from .approx import (
     PairStatistics,
-    descent_moments,
-    normal_coefficient_estimate,
     normal_error_bound_applies,
+    normal_polynomial_estimate,
     tail_extrapolate,
 )
 from .deck import (
@@ -49,14 +48,12 @@ from .deck import (
     enumerate_arrangements,
     parse_deck,
     sample_uniform_rearrangement,
-    transition_cardinality,
 )
 from .descentpoly import (
     descent_polynomial_family,
     eulerian_row,
     exact_descent_polynomial,
     mc_descent_histogram,
-    probability_from_coefficients,
     shuffle_weights,
 )
 from .errors import CapExceededError
@@ -149,12 +146,26 @@ def bayer_diaconis_tvd(n: int, shuffles: int) -> Fraction:
     `shuffles` riffles, via the closed form over descent counts."""
     if n < 1:
         raise ValueError("need at least one card")
-    weights, denom = shuffle_weights(n, riffles_to_packets(shuffles))
+    weighted = [shuffle_weights(n, riffles_to_packets(shuffles))]
     fact = math.factorial(n)
+    # The permutations with d descents share the unit vector at degree d.
     excess = sum(
-        c * max(0, denom - fact * w) for c, w in zip(eulerian_row(n), weights)
+        c * max(0, _gaps([0] * d + [1], weighted, fact)[0])
+        for d, c in enumerate(eulerian_row(n))
     )
-    return Fraction(excess, fact * denom)
+    return Fraction(excess, fact * weighted[0][1])
+
+
+def _gaps(
+    coefficients: Sequence, weighted: Sequence[tuple[tuple[int, ...], int]], count: int
+) -> list:
+    """a^n - N * sum_d c_d w_d, for one of `count` = N arrangements, at
+    each `shuffle_weights` pair (w, a^n) of `weighted`: the arrangement's
+    share 1/N - P(a) of the distance times N * a^n, exactly."""
+    return [
+        denom - count * sum(map(operator.mul, coefficients, weights))
+        for weights, denom in weighted
+    ]
 
 
 def exact_tvd_curve(
@@ -194,26 +205,14 @@ def exact_tvd_curve(
             exact_descent_polynomial(*s.pair(c), cap=transition_cap).coefficients
             for c in enumerate_arrangements(s.anchor, cap=arrangement_cap)
         )
-    # 1/N - num/a^n is (a^n - N*num) / (N*a^n): sum the integer numerators.
     excess = [0] * len(weighted)
     for row, times in rows.items():
-        for i, (weights, denom) in enumerate(weighted):
-            gap = denom - count * sum(map(operator.mul, row, weights))
+        for i, gap in enumerate(_gaps(row, weighted, count)):
             if gap > 0:
                 excess[i] += times * gap
     return [
         Fraction(e, count * denom) for e, (_, denom) in zip(excess, weighted)
     ]
-
-
-def exact_tvd_small(
-    s: Scenario,
-    a: int,
-    arrangement_cap: int = 10**6,
-    transition_cap: int = 10**8,
-) -> Fraction:
-    """`exact_tvd_curve` at the single packet count `a`."""
-    return exact_tvd_curve(s, [a], arrangement_cap, transition_cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,10 @@ class TvdEstimate:
     within `halfwidth` of the true distance except with the stated chance.
     `unproven`, set by the normal backend only, counts the distinct
     sampled arrangements whose normal curve lies outside the regime of
-    `normal_error_bound_applies`.
+    `normal_error_bound_applies`.  `unfitted`, set by the histogram
+    backend when it extrapolates over an automatic window, counts the
+    distinct sampled arrangements whose histogram was too sparse for the
+    tail fit and kept its unbiased, unpatched estimates.
     """
 
     scenario: str
@@ -240,6 +242,7 @@ class TvdEstimate:
     alpha_bounds: tuple[tuple[float, float, float], ...]
     hist_samples: int | None = None
     unproven: int | None = None
+    unfitted: int | None = None
 
 
 def _alpha_bounds(k: int) -> tuple[tuple[float, float, float], ...]:
@@ -271,10 +274,13 @@ def _histogram_coefficients(
     min_count: int,
     window: tuple[int, int] | None,
     cache_dir: str | Path | None,
+    unfitted: list[tuple[str, ...]] | None,
 ) -> tuple[Fraction, ...] | tuple[float, ...]:
     """Coefficient estimates from a sampled histogram, seeded by the
     arrangement itself; with `extrapolate`, degrees outside the fit
-    window with fewer than `min_count` samples take the tail fit."""
+    window with fewer than `min_count` samples take the tail fit.  When
+    the window is automatic and the histogram too sparse for a fit, the
+    estimates stay unpatched and the cards are appended to `unfitted`."""
     d1, d2 = s.pair(counterpart)
     hist_seed = (_deck_fingerprint(counterpart) ^ seed) & ((1 << 63) - 1)
     hist = mc_descent_histogram(
@@ -287,9 +293,15 @@ def _histogram_coefficients(
     estimates = hist.coefficient_estimates()
     if not extrapolate:
         return estimates
-    fit = tail_extrapolate(
-        hist, degree=fit_degree, min_count=min_count, window=window
-    )
+    try:
+        fit = tail_extrapolate(
+            hist, degree=fit_degree, min_count=min_count, window=window
+        )
+    except CapExceededError:
+        if window is not None:
+            raise
+        unfitted.append(counterpart.cards)
+        return estimates
     lo, hi = fit.window
     return tuple(
         float(e) if lo <= d <= hi or hist.counts[d] >= min_count else fit.predict(d)
@@ -303,46 +315,34 @@ def _normal_coefficients(
     stats: PairStatistics | None,
     unproven: list[tuple[str, ...]],
 ) -> tuple[int, ...] | tuple[float, ...]:
-    """Moment-matched normal curve, or the exact point mass when the
-    descent count is deterministic.  `stats` is the target's, when every
-    counterpart shares one target.  The cards of a counterpart whose
-    curve has no proven error bound are appended to `unproven`."""
-    d1, d2 = s.pair(counterpart)
-    moments = descent_moments(d1, d2, stats)
-    m = transition_cardinality(d1, d2)
-    if moments.variance == 0:
-        d = int(moments.mean)
-        if moments.mean != d:
-            raise ArithmeticError(
-                "deterministic descent count is not an integer; this is a bug"
-            )
-        return tuple(m if j == d else 0 for j in range(d1.n))
-    if not normal_error_bound_applies(moments):
+    """`normal_polynomial_estimate` of one pair.  `stats` is the target's,
+    when every counterpart shares one target.  The cards of a counterpart
+    whose curve has no proven error bound are appended to `unproven`."""
+    moments, estimates = normal_polynomial_estimate(*s.pair(counterpart), stats)
+    if moments.variance and not normal_error_bound_applies(moments):
         unproven.append(counterpart.cards)
-    return tuple(normal_coefficient_estimate(j, moments, m) for j in range(d1.n))
+    return estimates
 
 
-def _term(arrangements: int, p: Fraction | float) -> float:
-    """One arrangement's share max(0, 1 - N * P) of the distance."""
-    val = 1 - arrangements * p
-    return float(val) if val > 0 else 0.0
-
-
-def _probabilities(
-    coefficients: Sequence, packets: Sequence[int], ratios: list[list[float]]
-) -> list[Fraction] | list[float]:
-    """P(a) at each packet count.  Vectors of ints or `Fraction`s are
-    evaluated exactly; float vectors are summed in degree order against
-    `ratios`, the weights over a^n of each packet count."""
+def _terms(
+    coefficients: Sequence, weighted: list[tuple[tuple[int, ...], int]], count: int
+) -> list[float]:
+    """One arrangement's share max(0, 1 - N * P) of the distance at each
+    `shuffle_weights` pair of `weighted`.  Vectors of ints or `Fraction`s
+    are scored exactly by `_gaps`; float vectors are summed in degree
+    order, each weight taken over a^n first."""
     if not isinstance(coefficients[0], float):
-        return [probability_from_coefficients(coefficients, a) for a in packets]
-    out = []
-    for row in ratios:
+        return [
+            float(Fraction(gap, denom)) if gap > 0 else 0.0
+            for gap, (_, denom) in zip(_gaps(coefficients, weighted, count), weighted)
+        ]
+    terms = []
+    for weights, denom in weighted:
         p = 0.0
-        for c, r in zip(coefficients, row):
-            p += c * r
-        out.append(p)
-    return out
+        for c, w in zip(coefficients, weights):
+            p += c * (w / denom)
+        terms.append(max(0.0, 1 - count * p))
+    return terms
 
 
 BACKENDS = ("exact-oracle", "mc-histogram", "normal-approx")
@@ -371,7 +371,9 @@ def mc_tvd_curve(
 
     - "exact-oracle": exact transition polynomials (small decks only);
     - "mc-histogram": sampled histograms of size `hist_samples`, with an
-      optional log-scale tail fit when `extrapolate` is set;
+      optional log-scale tail fit when `extrapolate` is set; with an
+      automatic fit window, each estimate's `unfitted` counts the
+      distinct arrangements too sparse to fit;
     - "normal-approx": moment-matched normal curves; each estimate's
       `unproven` counts the distinct arrangements outside the curve's
       proven error regime.
@@ -385,11 +387,14 @@ def mc_tvd_curve(
     if k < 1:
         raise ValueError("sample count must be positive")
     unproven: list[tuple[str, ...]] | None = None
+    unfitted: list[tuple[str, ...]] | None = None
     if backend == "exact-oracle":
         method = "mc-exact-backend"
         coefficients = partial(_exact_coefficients, transition_cap=transition_cap)
     elif backend == "mc-histogram":
         method = backend
+        if extrapolate and window is None:
+            unfitted = []
         coefficients = partial(
             _histogram_coefficients,
             seed=seed,
@@ -399,6 +404,7 @@ def mc_tvd_curve(
             min_count=min_count,
             window=window,
             cache_dir=cache_dir,
+            unfitted=unfitted,
         )
     elif backend == "normal-approx":
         method = "normal"
@@ -410,10 +416,7 @@ def mc_tvd_curve(
         )
     else:
         raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
-    ratios = [
-        [w / denom for w in weights]
-        for weights, denom in (shuffle_weights(s.anchor.n, a) for a in packets)
-    ]
+    weighted = [shuffle_weights(s.anchor.n, a) for a in packets]
     count = s.arrangements
     memo: dict[tuple[str, ...], list[float]] = {}
     totals = [KahanSum() for _ in packets]
@@ -431,8 +434,9 @@ def mc_tvd_curve(
             counterpart = sample_uniform_rearrangement(s.anchor, gen)
             terms = memo.get(counterpart.cards)
             if terms is None:
-                probs = _probabilities(coefficients(s, counterpart), packets, ratios)
-                terms = memo[counterpart.cards] = [_term(count, p) for p in probs]
+                terms = memo[counterpart.cards] = _terms(
+                    coefficients(s, counterpart), weighted, count
+                )
             for part, val in zip(parts, terms):
                 part.add(val)
         for total, part in zip(totals, parts):
@@ -448,27 +452,7 @@ def mc_tvd_curve(
             alpha_bounds=_alpha_bounds(k),
             hist_samples=hist_samples if backend == "mc-histogram" else None,
             unproven=None if unproven is None else len(unproven),
+            unfitted=None if unfitted is None else len(unfitted),
         )
         for a, total in zip(packets, totals)
     ]
-
-
-def mc_tvd(
-    s: Scenario,
-    a: int,
-    k: int,
-    seed: int,
-    backend: str = "exact-oracle",
-    transition_cap: int = 10**8,
-    hist_samples: int = 10**6,
-    extrapolate: bool = False,
-    fit_degree: int = 4,
-    min_count: int = 400,
-    window: tuple[int, int] | None = None,
-    cache_dir: str | Path | None = None,
-) -> TvdEstimate:
-    """`mc_tvd_curve` at the single packet count `a`."""
-    return mc_tvd_curve(
-        s, [a], k, seed, backend, transition_cap, hist_samples, extrapolate,
-        fit_degree, min_count, window, cache_dir,
-    )[0]

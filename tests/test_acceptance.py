@@ -27,9 +27,9 @@ from riffmix import (
     enumerate_transitions,
     eulerian_row,
     exact_descent_polynomial,
-    exact_tvd_small,
+    exact_tvd_curve,
     mc_descent_histogram,
-    mc_tvd,
+    mc_tvd_curve,
     parse_deck,
     probabilities_to_polynomial,
     probability_from_coefficients,
@@ -213,12 +213,12 @@ class TestAcceptance:
     def test_05_sampling_estimator_calibration(self, announce):
         with criterion(5, "estimator deviation bound", 300.0, announce):
             s = custom_scenario("1^6,2^6", FIXED_SOURCE)
-            exact = float(exact_tvd_small(s, 4))
+            exact = float(exact_tvd_curve(s, [4])[0])
             k = 10**4
             bound = math.sqrt(10) / math.sqrt(k)
             hits = 0
             for i in range(100):
-                est = mc_tvd(s, 4, k=k, seed=500 + i)
+                est = mc_tvd_curve(s, [4], k=k, seed=500 + i)[0]
                 hits += abs(est.value - exact) <= bound
             assert hits >= 90, f"{hits}/100 runs inside the bound"
 
@@ -286,14 +286,14 @@ class TestAcceptance:
     def test_09_desk_scale_spot_check(self, announce):
         with criterion(9, "desk-scale distance spot check", 4 * 3600.0, announce):
             s = scenario("Blackjack1")
-            est = mc_tvd(
+            est = mc_tvd_curve(
                 s,
-                riffles_to_packets(5),
+                [riffles_to_packets(5)],
                 k=10**3,
                 seed=0,
                 backend="mc-histogram",
                 hist_samples=10**7,
-            )
+            )[0]
             assert 0.185 <= est.value <= 0.26, est.value
 
     def test_10_structure_explorers(self, announce):

@@ -263,6 +263,13 @@ class TestNormalEstimate:
         with pytest.raises(DegenerateDistributionError):
             normal_coefficient_estimate(1, mom, 1)
 
+    def test_polynomial_estimate_of_a_deterministic_pair_is_exact(self):
+        d1 = parse_deck("1,2,3,4")
+        d2 = parse_deck("2,4,1,3")
+        mom, est = normal_polynomial_estimate(d1, d2)
+        assert mom.variance == 0
+        assert est == exact_descent_polynomial(d1, d2).coefficients == (0, 0, 1, 0)
+
     def test_degree_out_of_range_rejected(self):
         d1, d2 = random_pair("1,1,2,2", 21)
         mom = descent_moments(d1, d2)

@@ -120,6 +120,30 @@ class TestTvd:
         assert row.err999996 == pytest.approx(10 * math.sqrt(10) / math.sqrt(300))
         assert row.k == 300 and row.seed == 5
 
+    SPARSE_FIT = (
+        "tvd", "--deck", "1^6,2^6", "--kind", "fixed-source", "--method", "mc-hist",
+        "--shuffles", "2..5", "--k", "30", "--hist-samples", "5000", "--seed", "9",
+        "--extrapolate",
+    )
+
+    def test_histograms_too_sparse_to_fit_keep_their_estimates(self, capsys):
+        # With the default degree-4 fit, most of these histograms have too
+        # few well-populated degrees under the automatic window.
+        code, out, err = run(capsys, *self.SPARSE_FIT)
+        assert code == 0, err
+        rows = [ResultRow.from_csv(line) for line in csv_body(out)[1]]
+        assert [row.shuffles for row in rows] == [2, 3, 4, 5]
+        assert all(0 <= row.value <= 1 for row in rows)
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("mc-hist: 29 distinct sampled arrangements")
+
+    def test_explicit_fit_window_too_short_exits_3(self, capsys):
+        code, out, err = run(capsys, *self.SPARSE_FIT, "--window", "4..7")
+        assert code == 3
+        assert out == ""
+        assert "window (4, 7) has 4 usable degrees" in err
+
     def test_normal_estimate_survives_many_shuffles(self, capsys):
         # a^n passes the float range at 20 riffles of 52 cards.
         code, out, err = run(

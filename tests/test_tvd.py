@@ -18,8 +18,6 @@ from riffmix import (
     bayer_diaconis_tvd,
     custom_scenario,
     exact_tvd_curve,
-    exact_tvd_small,
-    mc_tvd,
     mc_tvd_curve,
     parse_deck,
     riffles_to_packets,
@@ -87,9 +85,9 @@ class TestBayerDiaconis:
             deck = ",".join(str(i) for i in range(1, n + 1))
             s = custom_scenario(deck, FIXED_SOURCE)
             for k in (1, 2, 3):
-                assert bayer_diaconis_tvd(n, k) == exact_tvd_small(
-                    s, riffles_to_packets(k)
-                )
+                assert bayer_diaconis_tvd(n, k) == exact_tvd_curve(
+                    s, [riffles_to_packets(k)]
+                )[0]
 
     def test_riffles_to_packets_doubles(self):
         assert [riffles_to_packets(k) for k in range(6)] == [1, 2, 4, 8, 16, 32]
@@ -98,11 +96,12 @@ class TestBayerDiaconis:
 class TestExactTvd:
     def test_two_card_goldens(self):
         for kind in (FIXED_SOURCE, FIXED_TARGET):
-            assert exact_tvd_small(custom_scenario("1,2", kind), 2) == Fraction(1, 4)
+            (got,) = exact_tvd_curve(custom_scenario("1,2", kind), [2])
+            assert got == Fraction(1, 4)
 
     def test_three_distinct_cards_golden_sequence(self):
         s = custom_scenario("1,2,3", FIXED_SOURCE)
-        got = [exact_tvd_small(s, a) for a in (1, 2, 4, 8, 16)]
+        got = [exact_tvd_curve(s, [a])[0] for a in (1, 2, 4, 8, 16)]
         assert got == [
             Fraction(5, 6),
             Fraction(1, 3),
@@ -112,7 +111,7 @@ class TestExactTvd:
         ]
 
     def test_single_card_deck(self):
-        assert exact_tvd_small(custom_scenario("1", FIXED_SOURCE), 4) == 0
+        assert exact_tvd_curve(custom_scenario("1", FIXED_SOURCE), [4])[0] == 0
 
     def test_matches_digit_enumeration_oracle(self):
         cases = [
@@ -126,24 +125,24 @@ class TestExactTvd:
         ]
         for tokens, kind, a in cases:
             s = custom_scenario(tokens, kind)
-            assert exact_tvd_small(s, a) == brute_tvd(s, a), (tokens, kind, a)
+            assert exact_tvd_curve(s, [a])[0] == brute_tvd(s, a), (tokens, kind, a)
 
     def test_repeated_label_golden(self):
         s = custom_scenario("1,1,2,2", FIXED_SOURCE)
-        assert exact_tvd_small(s, 2) == Fraction(7, 24)
+        assert exact_tvd_curve(s, [2])[0] == Fraction(7, 24)
 
     def test_packet_count_must_be_positive(self):
         with pytest.raises(ValueError):
-            exact_tvd_small(custom_scenario("1,2", FIXED_SOURCE), 0)
+            exact_tvd_curve(custom_scenario("1,2", FIXED_SOURCE), [0])
 
     def test_arrangement_cap_enforced(self):
         with pytest.raises(CapExceededError):
-            exact_tvd_small(scenario("Bridge1"), 2)
+            exact_tvd_curve(scenario("Bridge1"), [2])
 
     def test_transition_cap_enforced(self):
         s = custom_scenario("1,1,2,2,3", FIXED_SOURCE)
         with pytest.raises(CapExceededError):
-            exact_tvd_small(s, 2, transition_cap=2)
+            exact_tvd_curve(s, [2], transition_cap=2)
 
 
 class TestScenarioRegistry:
@@ -212,23 +211,23 @@ class TestScenarioRegistry:
 class TestMcTvd:
     def test_exact_backend_tracks_exact_value(self):
         s = custom_scenario("1,1,2,2", FIXED_SOURCE)
-        exact = float(exact_tvd_small(s, 2))
+        exact = float(exact_tvd_curve(s, [2])[0])
         err96 = ALPHA_TABLE[0][0] / math.sqrt(400)
         for seed in (3, 4, 5):
-            est = mc_tvd(s, a=2, k=400, seed=seed)
+            est = mc_tvd_curve(s, [2], k=400, seed=seed)[0]
             assert abs(est.value - exact) < err96
 
     def test_deterministic_and_seed_sensitive(self):
         s = custom_scenario("1,1,2,2", FIXED_SOURCE)
-        one = mc_tvd(s, a=2, k=200, seed=9)
-        two = mc_tvd(s, a=2, k=200, seed=9)
-        other = mc_tvd(s, a=2, k=200, seed=10)
+        one = mc_tvd_curve(s, [2], k=200, seed=9)[0]
+        two = mc_tvd_curve(s, [2], k=200, seed=9)[0]
+        other = mc_tvd_curve(s, [2], k=200, seed=10)[0]
         assert one.value == two.value
         assert one.value != other.value
 
     def test_estimate_record_fields(self):
         s = custom_scenario("1,1,2,2", FIXED_SOURCE)
-        est = mc_tvd(s, a=2, k=50, seed=3)
+        est = mc_tvd_curve(s, [2], k=50, seed=3)[0]
         assert est.scenario == s.name
         assert est.method == "mc-exact-backend"
         assert (est.a, est.k, est.seed) == (2, 50, 3)
@@ -246,16 +245,18 @@ class TestMcTvd:
 
     def test_histogram_backend_agrees_with_exact_backend(self):
         s = custom_scenario("1,1,2,2", FIXED_SOURCE)
-        plain = mc_tvd(s, a=2, k=50, seed=3)
-        hist = mc_tvd(s, a=2, k=50, seed=3, backend="mc-histogram", hist_samples=20000)
+        plain = mc_tvd_curve(s, [2], k=50, seed=3)[0]
+        (hist,) = mc_tvd_curve(
+            s, [2], k=50, seed=3, backend="mc-histogram", hist_samples=20000
+        )
         assert hist.method == "mc-histogram"
         assert hist.hist_samples == 20000
         assert abs(hist.value - plain.value) < 0.05
 
     def test_normal_backend_on_two_cards(self):
         s = custom_scenario("1,2", FIXED_SOURCE)
-        est = mc_tvd(s, a=2, k=100, seed=1, backend="normal-approx")
-        again = mc_tvd(s, a=2, k=100, seed=1, backend="normal-approx")
+        est = mc_tvd_curve(s, [2], k=100, seed=1, backend="normal-approx")[0]
+        again = mc_tvd_curve(s, [2], k=100, seed=1, backend="normal-approx")[0]
         assert est.method == "normal"
         assert est.value == again.value
         assert abs(est.value - 0.25) < 0.32
@@ -280,40 +281,90 @@ class TestMcTvd:
         # regime where the normal curve's error bound is proven.
         assert [est.unproven for est in curve] == [40] * 4
 
+    @pytest.mark.parametrize(
+        "deck, kind, options, values",
+        [
+            # Integer vectors.
+            ("1^2,2^2,3", FIXED_TARGET, {},
+             [1.0, 0.5104166666666666, 0.3932291666666667,
+              0.23087565104166666, 0.46090534979423864]),
+            ("1^3,2^3", FIXED_SOURCE, {},
+             [0.8333333333333334, 0.25, 0.11100260416666667,
+              0.054555257161458336, 0.15249199817101053]),
+            # Fraction vectors.
+            ("1^6,2^6", FIXED_SOURCE,
+             {"backend": "mc-histogram", "hist_samples": 3000},
+             [1.0, 1.0, 0.34797108968098955, 0.1437239489207665,
+              0.6995579942082001]),
+            # Float vectors.
+            ("1^6,2^6", FIXED_SOURCE,
+             {"backend": "mc-histogram", "hist_samples": 3000,
+              "extrapolate": True, "fit_degree": 2, "window": (2, 7)},
+             [0.0, 0.15589647937135653, 0.32581568181974085,
+              0.14286907289328835, 0.5764036001400387]),
+        ],
+    )
+    def test_sampled_values_are_pinned(self, deck, kind, options, values):
+        # Each coefficient vector type is scored by its own arithmetic;
+        # the floats are compared exactly, so no bit may move.
+        curve = mc_tvd_curve(
+            custom_scenario(deck, kind), [1, 2, 4, 8, 3], k=6, seed=11, **options
+        )
+        assert [est.value for est in curve] == values
+
     def test_only_the_normal_backend_counts_unproven_curves(self):
         s = custom_scenario("1,1,2", FIXED_SOURCE)
-        assert mc_tvd(s, a=2, k=20, seed=1, backend="exact-oracle").unproven is None
+        (est,) = mc_tvd_curve(s, [2], k=20, seed=1, backend="exact-oracle")
+        assert est.unproven is None
         # Distinct cards: one transition per pair, a point mass, not a curve.
         s = custom_scenario("1,2,3", FIXED_SOURCE)
-        assert mc_tvd(s, a=2, k=20, seed=1, backend="normal-approx").unproven == 0
+        (est,) = mc_tvd_curve(s, [2], k=20, seed=1, backend="normal-approx")
+        assert est.unproven == 0
 
     def test_extrapolated_histogram_backend_runs(self):
         s = custom_scenario("1^6,2^6", FIXED_SOURCE)
-        plain = mc_tvd(
-            s, a=4, k=60, seed=7, backend="mc-histogram", hist_samples=150_000
-        )
-        fitted = mc_tvd(
+        plain = mc_tvd_curve(
+            s, [4], k=60, seed=7, backend="mc-histogram", hist_samples=150_000
+        )[0]
+        fitted = mc_tvd_curve(
             s,
-            a=4,
+            [4],
             k=60,
             seed=7,
             backend="mc-histogram",
             hist_samples=150_000,
             extrapolate=True,
             fit_degree=2,
-        )
+        )[0]
         assert 0.0 <= fitted.value <= 1.0
         assert fitted.value != plain.value
+
+    def test_histograms_too_sparse_to_fit_keep_their_estimates(self):
+        # No window of 12 degrees holds the 13 points a degree-11 fit needs.
+        s = custom_scenario("1^6,2^6", FIXED_SOURCE)
+        options = {"backend": "mc-histogram", "hist_samples": 3000}
+        plain = mc_tvd_curve(s, [2, 4], k=6, seed=11, **options)
+        fitted = mc_tvd_curve(
+            s, [2, 4], k=6, seed=11, extrapolate=True, fit_degree=11, **options
+        )
+        assert [est.value for est in fitted] == [est.value for est in plain]
+        assert [est.unfitted for est in fitted] == [6, 6]
+        assert [est.unfitted for est in plain] == [None, None]
+        with pytest.raises(CapExceededError):
+            mc_tvd_curve(
+                s, [2], k=6, seed=11, extrapolate=True, fit_degree=11,
+                window=(0, 11), **options,
+            )
 
     def test_unknown_backend_rejected(self):
         s = custom_scenario("1,2", FIXED_SOURCE)
         with pytest.raises(ValueError, match="backend"):
-            mc_tvd(s, a=2, k=5, seed=1, backend="quantum")
+            mc_tvd_curve(s, [2], k=5, seed=1, backend="quantum")
 
     def test_sample_count_must_be_positive(self):
         s = custom_scenario("1,2", FIXED_SOURCE)
         with pytest.raises(ValueError):
-            mc_tvd(s, a=2, k=0, seed=1)
+            mc_tvd_curve(s, [2], k=0, seed=1)
 
     def test_backends_tuple_is_frozen(self):
         assert BACKENDS == ("exact-oracle", "mc-histogram", "normal-approx")
@@ -335,7 +386,7 @@ class TestCurves:
         s = custom_scenario(deck, kind)
         curve = exact_tvd_curve(s, self.PACKETS, transition_cap=cap)
         assert curve == [
-            exact_tvd_small(s, a, transition_cap=cap) for a in self.PACKETS
+            exact_tvd_curve(s, [a], transition_cap=cap)[0] for a in self.PACKETS
         ]
 
     @pytest.mark.parametrize(
@@ -355,7 +406,9 @@ class TestCurves:
         s = custom_scenario(deck, kind)
         # Each histogram costs about 0.1 s whatever its size, so k is small.
         curve = mc_tvd_curve(s, self.PACKETS, k=6, seed=11, **options)
-        singles = [mc_tvd(s, a, k=6, seed=11, **options) for a in self.PACKETS]
+        singles = [
+            mc_tvd_curve(s, [a], k=6, seed=11, **options)[0] for a in self.PACKETS
+        ]
         assert curve == singles
         assert [est.a for est in curve] == self.PACKETS
 
@@ -364,5 +417,5 @@ class TestCurves:
         # backend's point mass is the exact transition polynomial.
         s = custom_scenario("1,2,3", FIXED_SOURCE)
         (est,) = mc_tvd_curve(s, [2], k=30, seed=4, backend="normal-approx")
-        exact = mc_tvd(s, 2, k=30, seed=4)
+        exact = mc_tvd_curve(s, [2], k=30, seed=4)[0]
         assert est.value == exact.value

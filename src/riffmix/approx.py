@@ -413,8 +413,11 @@ def tail_extrapolate(
     `min_count` samples and must contain at least degree + 2 points.
     The least-squares system is solved in exact rational arithmetic on
     degree values centered at the window midpoint; only the logarithms
-    themselves are floating point.
+    themselves are floating point.  Raises `ValueError` for a negative
+    degree.
     """
+    if degree < 0:
+        raise ValueError(f"fit degree must be at least 0, got {degree}")
     if window is None:
         window = _fit_window(hist.counts, min_count)
     lo, hi = window

@@ -163,7 +163,10 @@ def _parse_range(text: str) -> list[int]:
 
 def _parse_window(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"--window expects lo..hi, got {text!r}") from None
 
 
 def _deck_arg(text: str) -> Deck:

@@ -77,28 +77,6 @@ class Permutation:
         return ",".join(str(j) for j in self.images)
 
 
-@dataclass(frozen=True)
-class TransitionSet:
-    """All permutations carrying `source` onto `target`, in a fixed order.
-
-    Ordering: labels are taken in first-appearance order of the source
-    deck; for each label the bijections from its source slots to its
-    (sorted) target positions run in lexicographic order; the first
-    label's bijection varies slowest.
-    """
-
-    source: Deck
-    target: Deck
-    cardinality: int
-    permutations: tuple[Permutation, ...]
-
-    def __iter__(self) -> Iterator[Permutation]:
-        return iter(self.permutations)
-
-    def __len__(self) -> int:
-        return len(self.permutations)
-
-
 # ---------------------------------------------------------------------------
 # Parsing and printing
 
@@ -282,36 +260,50 @@ def label_positions(deck: Deck) -> dict[str, tuple[int, ...]]:
     return {c: tuple(v) for c, v in out.items()}
 
 
-def enumerate_transitions(
-    source: Deck, target: Deck, cap: int = 10**8
-) -> TransitionSet:
-    """Materialize every permutation carrying `source` onto `target`.
-
-    Raises `CapExceededError` when the transition count exceeds `cap`.
-    The ordering is documented on `TransitionSet`.
-    """
+def _capped_cardinality(source: Deck, target: Deck, cap: int) -> int:
+    """`transition_cardinality`, raising `CapExceededError` above `cap`."""
     card = transition_cardinality(source, target)
     if card > cap:
         raise CapExceededError(
             f"transition set has {card} elements, above the cap of {cap}"
         )
+    return card
+
+
+def _transition_images(source: Deck, target: Deck) -> Iterator[list[int]]:
+    """Yield the images of every permutation carrying `source` onto
+    `target` (decks holding the same cards), in the order documented on
+    `enumerate_transitions`.  One list is refilled and yielded for every
+    member, so copy it to keep it.
+    """
     src_pos = label_positions(source)
     tgt_pos = label_positions(target)
-    labels = list(src_pos)
-    # For each label, all bijections from its source slots (in order) to
-    # its target positions, as image tuples in lexicographic order.
-    per_label = [
-        sorted(itertools.permutations(tgt_pos[lab])) for lab in labels
-    ]
-    perms: list[Permutation] = []
-    n = source.n
+    slot_lists = list(src_pos.values())
+    per_label = [itertools.permutations(tgt_pos[lab]) for lab in src_pos]
+    images = [0] * source.n
     for choice in itertools.product(*per_label):
-        images = [0] * n
-        for lab, assignment in zip(labels, choice):
-            for slot, j in zip(src_pos[lab], assignment):
+        for slots, assignment in zip(slot_lists, choice):
+            for slot, j in zip(slots, assignment):
                 images[slot - 1] = j
-        perms.append(Permutation(tuple(images)))
-    return TransitionSet(source, target, card, tuple(perms))
+        yield images
+
+
+def enumerate_transitions(
+    source: Deck, target: Deck, cap: int = 10**8
+) -> tuple[Permutation, ...]:
+    """Materialize every permutation carrying `source` onto `target`.
+
+    Ordering: labels are taken in first-appearance order of the source
+    deck; for each label the bijections from its source slots to its
+    (sorted) target positions run in lexicographic order; the first
+    label's bijection varies slowest.  Raises `CapExceededError` when the
+    transition count exceeds `cap`.
+    """
+    _capped_cardinality(source, target, cap)
+    return tuple(
+        Permutation(tuple(images))
+        for images in _transition_images(source, target)
+    )
 
 
 def sample_uniform_transition(

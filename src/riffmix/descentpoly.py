@@ -14,7 +14,6 @@ sampling of the transition set, with per-degree reliability gauges.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -25,7 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import cache as _cache
-from .deck import Deck, deck_text, label_positions, transition_cardinality
+from .deck import (
+    Deck,
+    _capped_cardinality,
+    _transition_images,
+    deck_text,
+    label_positions,
+    transition_cardinality,
+)
 from .errors import CapExceededError, InconsistentProbabilitiesError
 from .rng import PURPOSE_HISTOGRAM, STREAMS, quotas, substreams
 
@@ -330,18 +336,8 @@ class _LabelTables:
 
 def _counts_plain(d1: Deck, d2: Deck) -> list[int]:
     """Stream the transition set in pure Python and tally descents."""
-    n = d1.n
-    src_pos = label_positions(d1)
-    tgt_pos = label_positions(d2)
-    labels = list(src_pos)
-    slot_lists = [src_pos[lab] for lab in labels]
-    counts = [0] * n
-    iters = [itertools.permutations(tgt_pos[lab]) for lab in labels]
-    images = [0] * n
-    for choice in itertools.product(*iters):
-        for slots, assignment in zip(slot_lists, choice):
-            for slot, j in zip(slots, assignment):
-                images[slot - 1] = j
+    counts = [0] * d1.n
+    for images in _transition_images(d1, d2):
         d = 0
         prev = images[0]
         for j in images[1:]:
@@ -385,12 +381,7 @@ def _counts_vectorized(d1: Deck, d2: Deck) -> list[int]:
 
 @lru_cache(maxsize=4096)
 def _exact_polynomial_cached(d1: Deck, d2: Deck, cap: int) -> DescentPolynomial:
-    card = transition_cardinality(d1, d2)
-    if card > min(cap, _COUNT_MAX):
-        raise CapExceededError(
-            f"transition set has {card} elements, above the cap of "
-            f"{min(cap, _COUNT_MAX)}"
-        )
+    card = _capped_cardinality(d1, d2, min(cap, _COUNT_MAX))
     if card <= _PLAIN_ENUM_MAX or max(d1.counts.values()) > _TABLE_MAX_MULT:
         counts = _counts_plain(d1, d2)
     else:
@@ -506,7 +497,11 @@ class PolynomialFamily:
         rows = np.nonzero(self.codes == code)[0]
         if len(rows) != 1:
             raise KeyError(f"counterpart not found: {deck_text(counterpart)}")
-        coeffs = tuple(int(c) for c in self.counts[rows[0]])
+        return self._row(rows[0], counterpart)
+
+    def _row(self, r: int, counterpart: Deck) -> DescentPolynomial:
+        """Row `r`, whose counterpart is `counterpart`, as a polynomial."""
+        coeffs = tuple(int(c) for c in self.counts[r])
         if self.role == "source":
             return DescentPolynomial(self.anchor, counterpart, coeffs)
         return DescentPolynomial(counterpart, self.anchor, coeffs)
@@ -554,19 +549,8 @@ def descent_polynomial_family(
 
 def family_as_dict(family: PolynomialFamily) -> dict[Deck, DescentPolynomial]:
     """Materialize a sweep as counterpart -> polynomial."""
-    out: dict[Deck, DescentPolynomial] = {}
-    for r in range(len(family.codes)):
-        counterpart = family.decode(int(family.codes[r]))
-        coeffs = tuple(int(c) for c in family.counts[r])
-        if family.role == "source":
-            out[counterpart] = DescentPolynomial(
-                family.anchor, counterpart, coeffs
-            )
-        else:
-            out[counterpart] = DescentPolynomial(
-                counterpart, family.anchor, coeffs
-            )
-    return out
+    counterparts = map(family.decode, family.codes.tolist())
+    return {c: family._row(r, c) for r, c in enumerate(counterparts)}
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from .deck import (
     sample_uniform_rearrangement,
 )
 from .descentpoly import (
+    _SWEEP_MAX_N,
     descent_polynomial_family,
     eulerian_row,
     exact_descent_polynomial,
@@ -193,7 +194,7 @@ def exact_tvd_curve(
     role = "source" if s.kind == FIXED_SOURCE else "target"
     # Arrangements sharing a coefficient vector share their terms, so each
     # distinct vector is scored once and weighted by how often it occurs.
-    if n <= 10 and math.factorial(n) <= transition_cap:
+    if n <= _SWEEP_MAX_N and math.factorial(n) <= transition_cap:
         family = descent_polynomial_family(s.anchor, role=role, cap=transition_cap)
         if len(family.codes) != count:
             raise ArithmeticError(
@@ -280,7 +281,8 @@ def _histogram_coefficients(
     arrangement itself; with `extrapolate`, degrees outside the fit
     window with fewer than `min_count` samples take the tail fit.  When
     the window is automatic and the histogram too sparse for a fit, the
-    estimates stay unpatched and the cards are appended to `unfitted`."""
+    estimates stay unpatched and the cards are appended to `unfitted`.
+    A fitted vector takes the exact c_0 instead of any estimate."""
     d1, d2 = s.pair(counterpart)
     hist_seed = (_deck_fingerprint(counterpart) ^ seed) & ((1 << 63) - 1)
     hist = mc_descent_histogram(
@@ -303,9 +305,11 @@ def _histogram_coefficients(
         unfitted.append(counterpart.cards)
         return estimates
     lo, hi = fit.window
-    return tuple(
+    # The identity is the only permutation without descents, so c_0 is
+    # known exactly: 1 when the decks are equal, 0 otherwise.
+    return (float(d1 == d2),) + tuple(
         float(e) if lo <= d <= hi or hist.counts[d] >= min_count else fit.predict(d)
-        for d, e in enumerate(estimates)
+        for d, e in enumerate(estimates[1:], start=1)
     )
 
 

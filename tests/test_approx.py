@@ -385,6 +385,12 @@ class TestTailFit:
         with pytest.raises(CapExceededError):
             tail_extrapolate(hist, degree=4, window=(3, 6))
 
+    def test_negative_degree_rejected(self):
+        # An empty least-squares system would fit exp(0) = 1 everywhere.
+        hist = synthetic_histogram([0, 0, 500, 900, 1400, 1600, 1300, 800, 450, 0, 0, 0])
+        with pytest.raises(ValueError, match="at least 0"):
+            tail_extrapolate(hist, degree=-1, min_count=400)
+
     def test_zero_count_degrees_inside_window_are_skipped(self):
         hist = synthetic_histogram([0, 0, 500, 900, 0, 1600, 1300, 800, 450, 0, 0, 0])
         fit = tail_extrapolate(hist, degree=2, min_count=400, window=(2, 8))

@@ -144,6 +144,23 @@ class TestTvd:
         assert out == ""
         assert "window (4, 7) has 4 usable degrees" in err
 
+    def test_negative_fit_degree_exits_2_with_no_rows(self, capsys):
+        code, out, err = run(
+            capsys,
+            "tvd", "--deck", "1^3,2^3", "--kind", "fixed-source",
+            "--method", "mc-hist", "--hist-samples", "1000", "--k", "2",
+            "--shuffles", "1", "--extrapolate", "--fit-degree", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "fit degree must be at least 0" in err
+
+    def test_window_without_range_exits_2(self, capsys):
+        code, out, err = run(capsys, *self.SPARSE_FIT, "--window", "5")
+        assert code == 2
+        assert out == ""
+        assert "--window expects lo..hi, got '5'" in err
+
     def test_normal_estimate_survives_many_shuffles(self, capsys):
         # a^n passes the float range at 20 riffles of 52 cards.
         code, out, err = run(

@@ -159,6 +159,18 @@ def test_transition_enumeration_order_frozen():
     got = [p.images for p in enumerate_transitions(d1, d2)]
     assert got == [(1, 4, 2, 3), (1, 4, 3, 2), (4, 1, 2, 3), (4, 1, 3, 2)]
     assert transition_cardinality(d1, d2) == 4
+    # Three labels, taken in the source's first-appearance order (b, a,
+    # c): b's bijection varies slowest and c's fastest.
+    d1 = parse_deck("b,a,b,c,c")
+    d2 = parse_deck("c,b,a,c,b")
+    members = enumerate_transitions(d1, d2)
+    assert type(members) is tuple
+    assert [p.images for p in members] == [
+        (2, 3, 5, 1, 4),
+        (2, 3, 5, 4, 1),
+        (5, 3, 2, 1, 4),
+        (5, 3, 2, 4, 1),
+    ]
 
 
 def test_transition_membership():

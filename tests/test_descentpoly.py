@@ -194,6 +194,7 @@ def test_family_rows_match_single_pair_oracle():
                 want = exact_descent_polynomial(counterpart, anchor)
             assert poly.coefficients == want.coefficients
             assert poly.source == want.source and poly.target == want.target
+            assert fam.polynomial(counterpart) == poly
 
 
 def test_family_row_count_and_sums():

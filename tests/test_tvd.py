@@ -300,8 +300,8 @@ class TestMcTvd:
             ("1^6,2^6", FIXED_SOURCE,
              {"backend": "mc-histogram", "hist_samples": 3000,
               "extrapolate": True, "fit_degree": 2, "window": (2, 7)},
-             [0.0, 0.15589647937135653, 0.32581568181974085,
-              0.14286907289328835, 0.5764036001400387]),
+             [1.0, 0.16374043473941455, 0.3265471087844258,
+              0.1428860272470179, 0.5816775901285226]),
         ],
     )
     def test_sampled_values_are_pinned(self, deck, kind, options, values):

@@ -151,14 +151,15 @@ def _emit_rows(rows: list[ResultRow], fmt: str) -> None:
         )
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    return [int(text)]
+def _parse_range(text: str, flag: str) -> list[int]:
+    lo, dots, hi = text.partition("..")
+    try:
+        lo_i, hi_i = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise ValueError(f"{flag} expects N or lo..hi, got {text!r}") from None
+    if hi_i < lo_i:
+        raise ValueError(f"empty range {text!r}")
+    return list(range(lo_i, hi_i + 1))
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -186,7 +187,7 @@ def _deck_arg(text: str) -> Deck:
 
 def cmd_bd(args: argparse.Namespace) -> int:
     rows = []
-    for k in _parse_range(args.shuffles):
+    for k in _parse_range(args.shuffles, "--shuffles"):
         val = bayer_diaconis_tvd(args.n, k)
         rows.append(
             ResultRow(
@@ -217,7 +218,7 @@ def _resolve_scenario(args: argparse.Namespace):
 def cmd_tvd(args: argparse.Namespace) -> int:
     s = _resolve_scenario(args)
     window = _parse_window(args.window) if args.window else None
-    shuffles = _parse_range(args.shuffles)
+    shuffles = _parse_range(args.shuffles, "--shuffles")
     packets = [riffles_to_packets(k) for k in shuffles]
     if args.method == "exact":
         values = exact_tvd_curve(
@@ -461,7 +462,7 @@ def cmd_hardness_battery(args: argparse.Namespace) -> int:
 
 
 def cmd_explore_classes(args: argparse.Namespace) -> int:
-    for n in _parse_range(args.n):
+    for n in _parse_range(args.n, "--n"):
         classes, seqs = balanced_complement_classes(n)
         formula = balanced_class_count_formula(n)
         print(

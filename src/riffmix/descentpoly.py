@@ -50,6 +50,10 @@ _CHUNK = 1 << 19
 # scores draws in blocks of about this many buffer cells.
 _SAMPLE_BATCH = 1 << 16
 _SCORE_CELLS = 1 << 17
+# With a cache directory, partial histogram counts are stored after every
+# this many streams, so an interrupted run resumes from there.  Each store
+# also scores a partly filled block, so a histogram stores only a few times.
+_CHECKPOINT_STREAMS = 256
 # Enumerated descent counts are tallied in 64-bit integers.
 _COUNT_MAX = 2**63 - 1
 # Version of the draw order of `mc_descent_histogram`, part of its cache
@@ -143,13 +147,18 @@ class _LabelTables:
     """Per-label structure of one pair's transition set.
 
     A member of the transition set picks, for each label, one bijection
-    from the label's source slots onto its target positions: one row of
-    that label's permutation table, built when the label has at most
-    `max_mult` cards.  When every label has a table (`complete`), the
-    descents of a member need only those row indices: descents inside
-    runs of one label are a per-row lookup (`runs`), and only boundaries
-    between different labels need a comparison (`mixed`).  Enumeration
-    feeds it mixed-radix row indices, sampling feeds it random rows.
+    from the label's source slots onto its sorted target positions.  It
+    is held as one column of `width` int16 buffer rows, each label owning
+    a fixed range of them from `first_row[lab]` on.  A label of at most
+    `max_mult` cards has a permutation table and one row, the index of
+    its table row.  A larger label has one row per source slot, the
+    index into its sorted targets that the slot goes to.  `descents`
+    scores such columns: a descent inside a run of one label is a
+    per-row lookup (`runs`) for a table label and a compare of two rows
+    (`pairs`) for a larger one, and each boundary between different
+    labels compares two target positions, each read through a (lookup,
+    buffer row) pair (`mixed`).  Enumeration feeds it mixed-radix
+    table-row indices, sampling feeds it random draws.
     """
 
     def __init__(self, d1: Deck, d2: Deck, max_mult: int):
@@ -158,10 +167,6 @@ class _LabelTables:
         src_pos = label_positions(d1)
         tgt_pos = label_positions(d2)
         self.labels = list(src_pos)
-        self.slots = {
-            lab: np.array(src_pos[lab], dtype=np.int64) - 1
-            for lab in self.labels
-        }
         self.targets = {
             lab: np.array(sorted(tgt_pos[lab]), dtype=np.int16) - 1
             for lab in self.labels
@@ -172,29 +177,40 @@ class _LabelTables:
             for lab, tgt in self.targets.items()
             if len(tgt) <= max_mult
         }
-        self.complete = len(self.tables) == len(self.labels)
-        # Runs of consecutive labels that draw from one distribution: a
-        # table of one size, or random keys of one width.
+        # Each label's first buffer row, and the runs of consecutive labels
+        # that draw from one distribution: a table of one size, or random
+        # keys of one width.
+        self.first_row: dict[str, int] = {}
+        self.width = 0
         self.draw_groups: list[tuple[int, bool, int, list[str]]] = []
-        for i, lab in enumerate(self.labels):
+        for lab in self.labels:
             is_table = lab in self.tables
             size = len(self.tables[lab]) if is_table else len(self.targets[lab])
             if self.draw_groups and self.draw_groups[-1][:2] == (size, is_table):
                 self.draw_groups[-1][3].append(lab)
             else:
-                self.draw_groups.append((size, is_table, i, [lab]))
-        if not self.complete:
-            return
+                self.draw_groups.append((size, is_table, self.width, [lab]))
+            self.first_row[lab] = self.width
+            self.width += 1 if is_table else size
+
+        def read(lab: str, slot: int) -> tuple[np.ndarray, int]:
+            """The lookup and buffer row giving the target of `slot`."""
+            if lab in self.tables:
+                column = self.tables[lab][:, slot]
+                return np.ascontiguousarray(column), self.first_row[lab]
+            return self.targets[lab], self.first_row[lab] + slot
+
         slot_of = {}
         seen: dict[str, int] = {}
         for i, c in enumerate(cards):
             slot_of[i] = seen.get(c, 0)
             seen[c] = slot_of[i] + 1
         dtab = {
-            lab: np.zeros(len(self.tables[lab]), dtype=np.int16)
-            for lab in self.labels
+            lab: np.zeros(len(tab), dtype=np.int16)
+            for lab, tab in self.tables.items()
         }
-        self.mixed: list[tuple[str, str, np.ndarray, np.ndarray]] = []
+        self.pairs: list[tuple[int, int]] = []
+        self.mixed: list[tuple[np.ndarray, int, np.ndarray, int]] = []
         # Per label, the source slot read at each mixed boundary, in order.
         self.boundary_slots: dict[str, list[int]] = {
             lab: [] for lab in self.labels
@@ -202,22 +218,20 @@ class _LabelTables:
         for i in range(self.n - 1):
             ci, cj = cards[i], cards[i + 1]
             qi, qj = slot_of[i], slot_of[i + 1]
-            if ci == cj:
+            if ci != cj:
+                self.mixed.append((*read(ci, qi), *read(cj, qj)))
+                self.boundary_slots[ci].append(qi)
+                self.boundary_slots[cj].append(qj)
+            elif ci in self.tables:
                 t = self.tables[ci]
                 dtab[ci] += t[:, qi] > t[:, qj]
             else:
-                self.mixed.append(
-                    (
-                        ci,
-                        cj,
-                        np.ascontiguousarray(self.tables[ci][:, qi]),
-                        np.ascontiguousarray(self.tables[cj][:, qj]),
-                    )
-                )
-                self.boundary_slots[ci].append(qi)
-                self.boundary_slots[cj].append(qj)
+                row = self.first_row[ci]
+                self.pairs.append((row + qi, row + qj))
         # Labels with no adjacent source slots add nothing.
-        self.runs = [(lab, tab) for lab, tab in dtab.items() if tab.any()]
+        self.runs = [
+            (self.first_row[lab], tab) for lab, tab in dtab.items() if tab.any()
+        ]
 
     def distinct_rows(self) -> dict[str, tuple[np.ndarray, np.ndarray | None]]:
         """Per label, the first row of each group of table rows that agree
@@ -240,8 +254,8 @@ class _LabelTables:
             m = len(self.targets[lab])
             ranks = _perm_table(m)[0]
             key = np.zeros(len(ranks), dtype=np.int64)
-            if lab in runs:
-                key += runs[lab]
+            if self.first_row[lab] in runs:
+                key += runs[self.first_row[lab]]
             for q in dict.fromkeys(self.boundary_slots[lab]):
                 key = key * m + ranks[:, q]
             _, first, mult = np.unique(key, return_index=True, return_counts=True)
@@ -250,17 +264,19 @@ class _LabelTables:
             out[lab] = (first, mult)
         return out
 
-    def descents(self, rows: dict[str, np.ndarray], size: int) -> np.ndarray:
-        """Descent counts of the members picking `rows[lab]` per label.
+    def descents(self, rows: np.ndarray | list) -> np.ndarray:
+        """Descent counts of the members whose buffer row `r` is `rows[r]`.
 
         `np.take` gathers through int16 row indices about twice as fast
         as fancy indexing, which first converts them to intp.
         """
-        des = np.zeros(size, dtype=np.int16)
-        for lab, tab in self.runs:
-            des += np.take(tab, rows[lab])
-        for ci, cj, left, right in self.mixed:
-            des += np.take(left, rows[ci]) > np.take(right, rows[cj])
+        des = np.zeros(len(rows[0]), dtype=np.int16)
+        for r, tab in self.runs:
+            des += np.take(tab, rows[r])
+        for r, s in self.pairs:
+            des += rows[r] > rows[s]
+        for left, i, right, j in self.mixed:
+            des += np.take(left, rows[i]) > np.take(right, rows[j])
         return des
 
     def sample_counts(
@@ -269,65 +285,44 @@ class _LabelTables:
         """Descent histogram of uniform members drawn by a run of streams.
 
         Stream `i` draws `quotas[i]` members from the `i`-th generator, in
-        batches of at most `_SAMPLE_BATCH`, labels in `self.labels` order.
-        Consecutive labels drawn from the same distribution share one
-        generator call, which yields the same values, and leaves the
-        generator in the same state, as one call per label.  Draws of
-        successive streams are gathered into one buffer and scored a block
-        at a time.  Without a table for every label, members are built as
-        full images, drawing an argsort of random keys for each large
-        label.
+        batches of at most `_SAMPLE_BATCH`, labels in `self.labels` order:
+        a table label draws its table-row index, a larger label an argsort
+        of random keys, one index per source slot.  Consecutive labels
+        drawn from the same distribution share one generator call, which
+        yields the same values, and leaves the generator in the same
+        state, as one call per label.  Members of successive streams fill
+        the columns of one `(width, columns)` buffer, which `descents`
+        scores a block at a time.
         """
         counts = np.zeros(self.n, dtype=np.int64)
-        width = len(self.labels) if self.complete else self.n
-        block = -(-_SCORE_CELLS // width)
+        block = -(-_SCORE_CELLS // self.width)
         cap = block + min(_SAMPLE_BATCH, max(quotas, default=0))
-        if self.complete:
-            buf = np.empty((width, cap), dtype=np.int16)
-        else:
-            buf = np.empty((cap, width), dtype=np.int16)
+        buf = np.empty((self.width, cap), dtype=np.int16)
         fill = 0
         for quota, gen in zip(quotas, generators, strict=True):
             for start in range(0, quota, _SAMPLE_BATCH):
                 b = min(_SAMPLE_BATCH, quota - start)
-                self._draw(gen, b, buf, fill)
+                self._draw(gen, buf[:, fill : fill + b])
                 fill += b
                 if fill >= block:
-                    counts += self._score(buf, fill)
+                    des = self.descents(buf[:, :fill])
+                    counts += np.bincount(des, minlength=self.n)
                     fill = 0
         if fill:
-            counts += self._score(buf, fill)
+            counts += np.bincount(self.descents(buf[:, :fill]), minlength=self.n)
         return counts
 
-    def _draw(
-        self, gen: np.random.Generator, b: int, buf: np.ndarray, at: int
-    ) -> None:
-        """Draw `b` members into columns (rows of an image buffer) `at`
-        onward: one generator call per group of `self.draw_groups`."""
-        cols = slice(at, at + b)
-        for size, is_table, row0, labs in self.draw_groups:
-            if self.complete:
-                buf[row0 : row0 + len(labs), cols] = gen.integers(
-                    0, size, size=(len(labs), b)
-                )
-            elif is_table:
-                picks = gen.integers(0, size, size=(len(labs), b))
-                for lab, pick in zip(labs, picks):
-                    buf[cols, self.slots[lab]] = self.tables[lab][pick]
+    def _draw(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        """Draw one member into each column of `out`: one generator call
+        per group of `self.draw_groups`."""
+        b = out.shape[1]
+        for size, is_table, row, labs in self.draw_groups:
+            if is_table:
+                out[row : row + len(labs)] = gen.integers(0, size, size=(len(labs), b))
             else:
-                order = np.argsort(gen.random((len(labs), b, size)), axis=2)
-                for lab, perm in zip(labs, order):
-                    buf[cols, self.slots[lab]] = self.targets[lab][perm]
-
-    def _score(self, buf: np.ndarray, fill: int) -> np.ndarray:
-        """Descent histogram of the first `fill` members in `buf`."""
-        if self.complete:
-            rows = {lab: buf[i, :fill] for i, lab in enumerate(self.labels)}
-            des = self.descents(rows, fill)
-        else:
-            img = buf[:fill]
-            des = (img[:, :-1] > img[:, 1:]).sum(axis=1)
-        return np.bincount(des, minlength=self.n)
+                for perm in np.argsort(gen.random((len(labs), b, size)), axis=2):
+                    out[row : row + size] = perm.T
+                    row += size
 
 
 # ---------------------------------------------------------------------------
@@ -359,23 +354,22 @@ def _counts_vectorized(d1: Deck, d2: Deck) -> list[int]:
     n = d1.n
     tables = _LabelTables(d1, d2, _TABLE_MAX_MULT)
     groups = tables.distinct_rows()
-    radix = [(lab, *groups[lab]) for lab in reversed(tables.labels)]
+    radix = [(tables.first_row[lab], *groups[lab]) for lab in reversed(tables.labels)]
     total = math.prod(len(first) for _, first, _ in radix)
     counts = np.zeros(n, dtype=np.int64)
     for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        rem = np.arange(start, stop, dtype=np.int64)
-        rows: dict[str, np.ndarray] = {}
+        rem = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        rows: list = [None] * tables.width
         weight: int | np.ndarray = 1
-        for lab, first, mult in radix:
+        for r, first, mult in radix:
             pick = rem % len(first)
             rem = rem // len(first)
             if mult is None:
-                rows[lab] = pick
+                rows[r] = pick
             else:
-                rows[lab] = first[pick]
+                rows[r] = first[pick]
                 weight = weight * mult[pick]
-        np.add.at(counts, tables.descents(rows, stop - start), weight)
+        np.add.at(counts, tables.descents(rows), weight)
     return [int(c) for c in counts]
 
 
@@ -617,15 +611,15 @@ def mc_descent_histogram(
     seed: int,
     streams: int = STREAMS,
     cache_dir: str | Path | None = None,
-    checkpoint_every: int | None = None,
 ) -> DescentHistogram:
     """Estimate descent coefficients by uniform transition sampling.
 
     Work is split over `streams` logical substreams with fixed quotas,
     counted in stream order, so the result depends only on (decks,
-    samples, seed, streams).  With a cache directory, completed counts
-    are stored and reused; `checkpoint_every` flushes partial counts
-    every that many streams so an interrupted run can resume.
+    samples, seed, streams).  With a cache directory, counts are stored
+    after every `_CHECKPOINT_STREAMS` streams and reused, so a finished
+    run is served whole and an interrupted one resumes from its last
+    store.
     """
     transition_cardinality(d1, d2)
     if samples < 1:
@@ -646,18 +640,16 @@ def mc_descent_histogram(
             first_stream = completed
     per_stream = quotas(samples, streams)
     tables = _LabelTables(d1, d2, _SAMPLE_TABLE_MAX_MULT)
-    step = checkpoint_every or streams
-    s = first_stream
-    while s < streams:
+    step = streams if cache_dir is None else _CHECKPOINT_STREAMS
+    for s in range(first_stream, streams, step):
         stop = min(s + step, streams)
         live = [t for t in range(s, stop) if per_stream[t]]
         counts += tables.sample_counts(
             [per_stream[t] for t in live],
             substreams(seed, (PURPOSE_HISTOGRAM,), live),
         )
-        s = stop
-        if cache_dir is not None and (s < streams or first_stream < streams):
-            _cache.store(cache_dir, key, [int(c) for c in counts], s)
+        if cache_dir is not None:
+            _cache.store(cache_dir, key, [int(c) for c in counts], stop)
     return DescentHistogram(
         d1, d2, tuple(int(c) for c in counts), samples, seed
     )

@@ -473,6 +473,10 @@ def mincuts_witness_ok(inst: MinCutsInstance, perm: Permutation) -> bool:
 # ---------------------------------------------------------------------------
 # Structure explorers
 
+# Class exploration walks all C(2n, n) balanced sequences; it is allowed
+# up to this n.
+_CLASSES_MAX_N = 10
+
 
 def _balanced_sequences(n: int) -> list[tuple[int, ...]]:
     """All 0/1 sequences of length 2n with n ones, lexicographic."""
@@ -485,7 +489,7 @@ def _balanced_sequences(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def balanced_complement_classes(n: int, cap_n: int = 10) -> tuple[int, int]:
+def balanced_complement_classes(n: int) -> tuple[int, int]:
     """Classes of balanced two-label decks under one complementation step.
 
     Two sequences are related when one arises from the other by taking a
@@ -494,8 +498,8 @@ def balanced_complement_classes(n: int, cap_n: int = 10) -> tuple[int, int]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > cap_n:
-        raise CapExceededError(f"class exploration supports n <= {cap_n}")
+    if n > _CLASSES_MAX_N:
+        raise CapExceededError(f"class exploration supports n <= {_CLASSES_MAX_N}")
     seqs = _balanced_sequences(n)
     index = {s: i for i, s in enumerate(seqs)}
     parent = list(range(len(seqs)))

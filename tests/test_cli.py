@@ -499,6 +499,33 @@ class TestExitCodes:
         assert code == 2
         assert "empty range" in err
 
+    def test_empty_shuffle_range_exits_2_after_the_scenario_resolves(self, capsys):
+        code, out, err = run(
+            capsys, "tvd", "--scenario", "Bridge1", "--shuffles", "1..0"
+        )
+        assert (code, out) == (2, "")
+        assert "empty range '1..0'" in err
+        # A bad deck is reported first, as a domain error.
+        code, _, _ = run(
+            capsys, "tvd", "--deck", "1,,2", "--kind", "fixed-source",
+            "--shuffles", "1..0",
+        )
+        assert code == 3
+
+    @pytest.mark.parametrize("text", ["3..", "..3", "x", "1..2..3"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("bd", "--n", "5", "--shuffles"), "--shuffles"),
+            (("tvd", "--scenario", "Bridge1", "--shuffles"), "--shuffles"),
+            (("explore", "classes", "--n"), "--n"),
+        ],
+    )
+    def test_malformed_range_names_flag_and_form(self, capsys, argv, flag, text):
+        code, out, err = run(capsys, *argv, text)
+        assert (code, out) == (2, "")
+        assert f"{flag} expects N or lo..hi, got {text!r}" in err
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

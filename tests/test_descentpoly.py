@@ -30,6 +30,7 @@ from riffmix import (
 )
 from riffmix import cache as cache_mod
 from riffmix.descentpoly import (
+    _CHECKPOINT_STREAMS,
     _TABLE_MAX_MULT,
     SAMPLER_VERSION,
     _counts_plain,
@@ -124,11 +125,11 @@ def test_plain_and_vectorized_paths_agree():
 def test_distinct_rows_match_row_wise_unique(source, target, groups):
     tables = _LabelTables(parse_deck(source), parse_deck(target), _TABLE_MAX_MULT)
     read = {lab: [] for lab in tables.labels}
-    for lab, tab in tables.runs:
-        read[lab].append(tab)
-    for ci, cj, left, right in tables.mixed:
-        read[ci].append(left)
-        read[cj].append(right)
+    for i, tab in tables.runs:
+        read[tables.labels[i]].append(tab)
+    for left, i, right, j in tables.mixed:
+        read[tables.labels[i]].append(left)
+        read[tables.labels[j]].append(right)
     merged = tables.distinct_rows()
     assert len(merged[tables.labels[0]][0]) == groups
     for lab in tables.labels:
@@ -370,8 +371,10 @@ def test_histogram_counts_sum_and_determinism():
 # Reference counts of the sampler's draw order.  Cached histograms are
 # keyed by `SAMPLER_VERSION`, so a change to the draw order must fail here
 # until that version is bumped.  Cases: table path, argsort path, mixed
-# (two seeds), a stream quota above one 65,536-member batch, and
-# checkpointed.
+# (two seeds), a stream quota above one 65,536-member batch, cached (so
+# stored after every `_CHECKPOINT_STREAMS` streams), and an argsort label
+# whose source runs another label splits, on both sides of mixed
+# boundaries.
 _TABLE_PAIR = ("1^4,2^4,3^3,4^4,5^2", "4,3,4^2,1,5^2,2^2,1,3,2^2,4,3,1^2")
 _MIXED_PAIR = ("1^8,2^3,3", "1^4,2,1,2,3,2,1^3")
 _PINNED = [
@@ -397,7 +400,7 @@ _PINNED = [
     ),
     (
         _TABLE_PAIR,
-        dict(samples=8000, seed=35, checkpoint_every=200),
+        dict(samples=8000, seed=35, cache_dir=True),
         (0, 0, 0, 0, 10, 104, 666, 1825, 2619, 1942, 702, 126, 6, 0, 0, 0, 0),
     ),
     (
@@ -405,13 +408,18 @@ _PINNED = [
         dict(samples=20000, seed=36),
         (0, 0, 9, 496, 3788, 7953, 5949, 1651, 154, 0, 0, 0),
     ),
+    (
+        ("1^3,2,1^5,2", "2,1^4,2,1^4"),
+        dict(samples=20000, seed=37),
+        (0, 0, 122, 1455, 6318, 7977, 3659, 459, 10, 0),
+    ),
 ]
 
 
 @pytest.mark.parametrize("pair, kwargs, counts", _PINNED)
 def test_histogram_counts_are_pinned(tmp_path, pair, kwargs, counts):
     d1, d2 = map(parse_deck, pair)
-    if "checkpoint_every" in kwargs:
+    if "cache_dir" in kwargs:
         kwargs = dict(kwargs, cache_dir=tmp_path)
     assert mc_descent_histogram(d1, d2, **kwargs).counts == counts
 
@@ -557,13 +565,9 @@ def test_histogram_resume_matches_uninterrupted(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cache_mod, "store", crash_after_first_flush)
     with pytest.raises(RuntimeError):
-        mc_descent_histogram(
-            d1, d2, 8000, seed=12, cache_dir=tmp_path, checkpoint_every=200
-        )
+        mc_descent_histogram(d1, d2, 8000, seed=12, cache_dir=tmp_path)
     monkeypatch.setattr(cache_mod, "store", real_store)
-    assert flushes == [200]
+    assert flushes == [_CHECKPOINT_STREAMS]
 
-    resumed = mc_descent_histogram(
-        d1, d2, 8000, seed=12, cache_dir=tmp_path, checkpoint_every=200
-    )
+    resumed = mc_descent_histogram(d1, d2, 8000, seed=12, cache_dir=tmp_path)
     assert resumed.counts == straight.counts

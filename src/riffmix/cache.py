@@ -2,9 +2,10 @@
 
 Histogram runs can be expensive, so completed (and partially completed)
 counts can be persisted under a cache directory.  Files are plain text,
-written atomically via a temp file and `os.replace`.  A partial file
-records how many logical streams have been merged so far; a later run
-with the same parameters resumes from that point.
+written atomically via a temp file and `os.replace`.  A histogram is
+drawn in blocks, one substream each; a partial file records how many
+blocks have been merged so far, and a later run with the same
+parameters resumes from that point.
 
 The cache directory comes from the `RIFFMIX_CACHE_DIR` environment
 variable when not given explicitly.
@@ -31,6 +32,7 @@ def default_cache_dir() -> Path | None:
 class HistogramKey:
     """Identity of a histogram run; all fields must match to reuse counts.
 
+    `streams` is the number of substreams (sample blocks) the run draws.
     `sampler` names the version of the sampling algorithm that drew the
     counts, so counts drawn by an older sampler are never served.
     """
@@ -67,7 +69,7 @@ def store(
     counts: list[int],
     completed: int,
 ) -> None:
-    """Atomically write `counts` merged over the first `completed` streams."""
+    """Atomically write `counts` merged over the first `completed` blocks."""
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     lines = [
@@ -91,7 +93,7 @@ def store(
 
 
 def load(cache_dir: Path, key: HistogramKey) -> tuple[tuple[int, ...], int] | None:
-    """Counts and completed-stream count for `key`, or None.
+    """Counts and completed-block count for `key`, or None.
 
     Returns None when the file is missing, malformed, or describes a
     different run.

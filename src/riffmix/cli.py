@@ -170,6 +170,14 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise ValueError(f"--window expects lo..hi, got {text!r}") from None
 
 
+def _seed(args: argparse.Namespace) -> int:
+    """The `--seed` value; seeds address random streams, so they are
+    non-negative."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
+
+
 def _deck_arg(text: str) -> Deck:
     """Parse a deck argument, expanding bare strings character-wise.
 
@@ -242,7 +250,7 @@ def cmd_tvd(args: argparse.Namespace) -> int:
         s,
         packets,
         k=args.k,
-        seed=args.seed,
+        seed=_seed(args),
         backend=backend,
         transition_cap=args.transition_cap,
         hist_samples=args.hist_samples,
@@ -304,7 +312,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
             d1,
             d2,
             samples=args.l,
-            seed=args.seed,
+            seed=_seed(args),
             cache_dir=args.cache_dir,
         )
         est = hist.coefficient_estimates()
@@ -354,7 +362,10 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 
 def _gen_instances(args: argparse.Namespace) -> list[MatchingInstance]:
-    gen = substream(args.seed, PURPOSE_INSTANCE_GEN)
+    for flag, bound in (("--m-max", args.m_max), ("--t-max", args.t_max)):
+        if bound < 1:
+            raise ValueError(f"{flag} must be at least 1, got {bound}")
+    gen = substream(_seed(args), PURPOSE_INSTANCE_GEN)
     return [
         random_matching_instance(gen, m_max=args.m_max, t_max=args.t_max)
         for _ in range(args.count)
@@ -422,7 +433,13 @@ def _solve_any(line: str, node_cap: int) -> tuple[str, str]:
 def cmd_hardness_solve(args: argparse.Namespace) -> int:
     if args.mincuts:
         d1, d2, budget = args.mincuts
-        inst = MinCutsInstance(_deck_arg(d1), _deck_arg(d2), int(budget))
+        try:
+            budget = int(budget)
+        except ValueError:
+            raise ValueError(
+                f"--mincuts expects an integer descent budget D, got {budget!r}"
+            ) from None
+        inst = MinCutsInstance(_deck_arg(d1), _deck_arg(d2), budget)
         lines = [inst.text()]
     else:
         lines = _read_instance_lines(args)

@@ -33,7 +33,7 @@ from .deck import (
     transition_cardinality,
 )
 from .errors import CapExceededError, InconsistentProbabilitiesError
-from .rng import PURPOSE_HISTOGRAM, STREAMS, quotas, substreams
+from .rng import PURPOSE_HISTOGRAM, substream
 
 # Transition sets at or below this size are enumerated in pure Python;
 # larger ones go through the vectorized engine.
@@ -46,19 +46,22 @@ _SAMPLE_TABLE_MAX_MULT = 7
 # Permutation sweeps over all n! position maps are allowed up to this n.
 _SWEEP_MAX_N = 10
 _CHUNK = 1 << 19
-# Sampling draws at most this many members per generator call, and
-# scores draws in blocks of about this many buffer cells.
-_SAMPLE_BATCH = 1 << 16
+# A histogram is drawn in blocks of this many samples, block `b` from its
+# own substream; the last block holds the remainder.
+_BLOCK_SAMPLES = 1 << 16
+# Sampling draws about this many random values per generator call, and
+# scores draws in batches of about this many buffer cells.
+_DRAW_CELLS = 1 << 13
 _SCORE_CELLS = 1 << 17
 # With a cache directory, partial histogram counts are stored after every
-# this many streams, so an interrupted run resumes from there.  Each store
-# also scores a partly filled block, so a histogram stores only a few times.
-_CHECKPOINT_STREAMS = 256
+# this many blocks, so an interrupted run resumes from there.  Each store
+# also scores a partly filled batch, so a histogram stores only a few times.
+_CHECKPOINT_BLOCKS = 4
 # Enumerated descent counts are tallied in 64-bit integers.
 _COUNT_MAX = 2**63 - 1
 # Version of the draw order of `mc_descent_histogram`, part of its cache
 # key.  Bump it with any change that changes sampled counts.
-SAMPLER_VERSION = 1
+SAMPLER_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -280,31 +283,32 @@ class _LabelTables:
         return des
 
     def sample_counts(
-        self, quotas: list[int], generators: Iterable[np.random.Generator]
+        self, sizes: list[int], generators: Iterable[np.random.Generator]
     ) -> np.ndarray:
-        """Descent histogram of uniform members drawn by a run of streams.
+        """Descent histogram of uniform members drawn by a run of blocks.
 
-        Stream `i` draws `quotas[i]` members from the `i`-th generator, in
-        batches of at most `_SAMPLE_BATCH`, labels in `self.labels` order:
-        a table label draws its table-row index, a larger label an argsort
-        of random keys, one index per source slot.  Consecutive labels
-        drawn from the same distribution share one generator call, which
-        yields the same values, and leaves the generator in the same
-        state, as one call per label.  Members of successive streams fill
-        the columns of one `(width, columns)` buffer, which `descents`
-        scores a block at a time.
+        Block `i` draws `sizes[i]` members from the `i`-th generator, in
+        calls of at most `_DRAW_CELLS // width` members (one random value
+        per buffer cell), labels in `self.labels` order: a table label
+        draws its table-row index, a larger label an argsort of random
+        keys, one index per source slot.  Consecutive labels drawn from
+        the same distribution share one generator call, which yields the
+        same values, and leaves the generator in the same state, as one
+        call per label.  Members of successive blocks fill the columns of
+        one `(width, columns)` buffer, which `descents` scores a batch of
+        about `_SCORE_CELLS` cells at a time.
         """
         counts = np.zeros(self.n, dtype=np.int64)
-        block = -(-_SCORE_CELLS // self.width)
-        cap = block + min(_SAMPLE_BATCH, max(quotas, default=0))
-        buf = np.empty((self.width, cap), dtype=np.int16)
+        batch = -(-_SCORE_CELLS // self.width)
+        per_call = max(1, _DRAW_CELLS // self.width)
+        buf = np.empty((self.width, batch + per_call), dtype=np.int16)
         fill = 0
-        for quota, gen in zip(quotas, generators, strict=True):
-            for start in range(0, quota, _SAMPLE_BATCH):
-                b = min(_SAMPLE_BATCH, quota - start)
+        for size, gen in zip(sizes, generators, strict=True):
+            for start in range(0, size, per_call):
+                b = min(per_call, size - start)
                 self._draw(gen, buf[:, fill : fill + b])
                 fill += b
-                if fill >= block:
+                if fill >= batch:
                     des = self.descents(buf[:, :fill])
                     counts += np.bincount(des, minlength=self.n)
                     fill = 0
@@ -424,6 +428,24 @@ def _perm_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, des
 
 
+def _label_digits(deck: Deck) -> tuple[tuple[str, ...], np.ndarray]:
+    """The deck's labels in first-appearance order, and each card's
+    index among them: its base-h digit, h being the label count."""
+    labels = tuple(deck.counts)
+    index = {lab: e for e, lab in enumerate(labels)}
+    return labels, np.array([index[c] for c in deck.cards], dtype=np.int64)
+
+
+def _decode(code: int, labels: tuple[str, ...], n: int) -> Deck:
+    """The n-card deck whose card i is `labels[digit i]` of base-h `code`."""
+    h = len(labels)
+    cards = []
+    for _ in range(n):
+        cards.append(labels[code % h])
+        code //= h
+    return Deck(tuple(cards))
+
+
 def _source_codes(exp: np.ndarray, h: int) -> np.ndarray:
     """Base-h codes sum_i exp[i] * h^p(i) of the maps p listed by
     `_perm_table(len(exp))`, in its row order.
@@ -471,12 +493,7 @@ class PolynomialFamily:
         return self.anchor.n
 
     def decode(self, code: int) -> Deck:
-        h = len(self.labels)
-        cards = []
-        for _ in range(self.n):
-            cards.append(self.labels[code % h])
-            code //= h
-        return Deck(tuple(cards))
+        return _decode(code, self.labels, self.n)
 
     def encode(self, counterpart: Deck) -> int:
         h = len(self.labels)
@@ -519,10 +536,8 @@ def descent_polynomial_family(
             f"sweep over {math.factorial(n)} position maps is above the cap of {cap}"
         )
     perms, des = _perm_table(n)
-    labels = tuple(anchor.counts)
+    labels, exp = _label_digits(anchor)
     h = len(labels)
-    index = {lab: e for e, lab in enumerate(labels)}
-    exp = np.array([index[c] for c in anchor.cards], dtype=np.int64)
     if role == "source":
         # Counterpart card at target position p(i) equals anchor card i.
         code = _source_codes(exp, h)
@@ -565,10 +580,8 @@ def digit_transition_counts(
         raise CapExceededError(
             f"digit enumeration needs {total} sequences, above the cap of {cap}"
         )
-    labels = tuple(d1.counts)
+    labels, exp = _label_digits(d1)
     h = len(labels)
-    index = {lab: e for e, lab in enumerate(labels)}
-    exp = np.array([index[c] for c in d1.cards], dtype=np.int64)
     pow_h = h ** np.arange(n, dtype=np.int64)
     out: dict[int, int] = {}
     batch = 1 << 16
@@ -590,14 +603,7 @@ def digit_transition_counts(
         uniq, cnt = np.unique(code, return_counts=True)
         for u, c in zip(uniq, cnt):
             out[int(u)] = out.get(int(u), 0) + int(c)
-    result: dict[Deck, int] = {}
-    for code, c in out.items():
-        cards = []
-        for _ in range(n):
-            cards.append(labels[code % h])
-            code //= h
-        result[Deck(tuple(cards))] = c
-    return result
+    return {_decode(code, labels, n): c for code, c in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -609,17 +615,17 @@ def mc_descent_histogram(
     d2: Deck,
     samples: int,
     seed: int,
-    streams: int = STREAMS,
     cache_dir: str | Path | None = None,
 ) -> DescentHistogram:
     """Estimate descent coefficients by uniform transition sampling.
 
-    Work is split over `streams` logical substreams with fixed quotas,
-    counted in stream order, so the result depends only on (decks,
-    samples, seed, streams).  With a cache directory, counts are stored
-    after every `_CHECKPOINT_STREAMS` streams and reused, so a finished
-    run is served whole and an interrupted one resumes from its last
-    store.
+    Samples are drawn in blocks of `_BLOCK_SAMPLES`, the last block
+    holding the remainder; block `b` draws from `substream(seed,
+    PURPOSE_HISTOGRAM, b)`, and the histogram is the sum of the blocks'
+    counts, so it depends only on (decks, samples, seed).  With a cache
+    directory, counts are stored after every `_CHECKPOINT_BLOCKS` blocks
+    and at the end, and reused, so a finished run is served whole and an
+    interrupted one resumes from its last store.
     """
     transition_cardinality(d1, d2)
     if samples < 1:
@@ -627,26 +633,26 @@ def mc_descent_histogram(
     n = d1.n
     if cache_dir is None:
         cache_dir = _cache.default_cache_dir()
+    blocks = -(-samples // _BLOCK_SAMPLES)
     key = _cache.HistogramKey(
-        deck_text(d1), deck_text(d2), samples, seed, streams, SAMPLER_VERSION
+        deck_text(d1), deck_text(d2), samples, seed, blocks, SAMPLER_VERSION
     )
     counts = np.zeros(n, dtype=np.int64)
-    first_stream = 0
+    first_block = 0
     if cache_dir is not None:
         cached = _cache.load(cache_dir, key)
         if cached is not None and len(cached[0]) == n:
             stored, completed = cached
             counts = np.array(stored, dtype=np.int64)
-            first_stream = completed
-    per_stream = quotas(samples, streams)
+            first_block = completed
     tables = _LabelTables(d1, d2, _SAMPLE_TABLE_MAX_MULT)
-    step = streams if cache_dir is None else _CHECKPOINT_STREAMS
-    for s in range(first_stream, streams, step):
-        stop = min(s + step, streams)
-        live = [t for t in range(s, stop) if per_stream[t]]
+    step = blocks if cache_dir is None else _CHECKPOINT_BLOCKS
+    for start in range(first_block, blocks, step):
+        stop = min(start + step, blocks)
+        run = range(start, stop)
         counts += tables.sample_counts(
-            [per_stream[t] for t in live],
-            substreams(seed, (PURPOSE_HISTOGRAM,), live),
+            [min(_BLOCK_SAMPLES, samples - b * _BLOCK_SAMPLES) for b in run],
+            (substream(seed, PURPOSE_HISTOGRAM, b) for b in run),
         )
         if cache_dir is not None:
             _cache.store(cache_dir, key, [int(c) for c in counts], stop)

@@ -58,7 +58,7 @@ from .descentpoly import (
     shuffle_weights,
 )
 from .errors import CapExceededError
-from .rng import PURPOSE_TVD, STREAMS, KahanSum, quotas, substreams
+from .rng import PURPOSE_TVD, substream
 
 # Deviation bounds for the sampling estimator: (alpha, P(exceed) bound).
 ALPHA_TABLE: tuple[tuple[float, float], ...] = (
@@ -382,11 +382,12 @@ def mc_tvd_curve(
       `unproven` counts the distinct arrangements outside the curve's
       proven error regime.
 
-    Arrangements are drawn once for all packet counts.  Sampling is split
-    over fixed logical streams and merged in stream order, so the value
-    depends only on the arguments.  Repeated arrangements reuse their
-    first terms, and histogram seeds are derived from the arrangement
-    itself, so reuse is consistent.
+    Arrangements are drawn once for all packet counts, all `k` from
+    `substream(seed, PURPOSE_TVD)`, and each value is the correctly
+    rounded `math.fsum` of the `k` terms over `k`, so it depends only on
+    the arguments.  Repeated arrangements reuse their first terms, and
+    histogram seeds are derived from the arrangement itself, so reuse is
+    consistent.
     """
     if k < 1:
         raise ValueError("sample count must be positive")
@@ -423,34 +424,22 @@ def mc_tvd_curve(
     weighted = [shuffle_weights(s.anchor.n, a) for a in packets]
     count = s.arrangements
     memo: dict[tuple[str, ...], list[float]] = {}
-    totals = [KahanSum() for _ in packets]
-    per_stream = quotas(k, STREAMS)
-    generators = substreams(
-        seed, (PURPOSE_TVD,), [t for t, quota in enumerate(per_stream) if quota]
-    )
-    # Every stream adds its part, empty or not: adding 0.0 to a
-    # compensated sum can change its total.
-    for quota in per_stream:
-        parts = [KahanSum() for _ in packets]
-        if quota:
-            gen = next(generators)
-        for _ in range(quota):
-            counterpart = sample_uniform_rearrangement(s.anchor, gen)
-            terms = memo.get(counterpart.cards)
-            if terms is None:
-                terms = memo[counterpart.cards] = _terms(
-                    coefficients(s, counterpart), weighted, count
-                )
-            for part, val in zip(parts, terms):
-                part.add(val)
-        for total, part in zip(totals, parts):
-            total.add(part.total)
+    gen = substream(seed, PURPOSE_TVD)
+    draws = []
+    for _ in range(k):
+        counterpart = sample_uniform_rearrangement(s.anchor, gen)
+        terms = memo.get(counterpart.cards)
+        if terms is None:
+            terms = memo[counterpart.cards] = _terms(
+                coefficients(s, counterpart), weighted, count
+            )
+        draws.append(terms)
     return [
         TvdEstimate(
             scenario=s.name,
             method=method,
             a=a,
-            value=total.total / k,
+            value=math.fsum(column) / k,
             k=k,
             seed=seed,
             alpha_bounds=_alpha_bounds(k),
@@ -458,5 +447,5 @@ def mc_tvd_curve(
             unproven=None if unproven is None else len(unproven),
             unfitted=None if unfitted is None else len(unfitted),
         )
-        for a, total in zip(packets, totals)
+        for a, column in zip(packets, zip(*draws))
     ]

@@ -262,8 +262,8 @@ class TestPoly:
         )
         assert code == 0, err
         values = [ResultRow.from_csv(line).value for line in csv_body(out)[1]]
-        assert values == [0.925, 0.05305012843553166, 0.15446514309415865,
-                          0.09974192816804986]
+        assert values == [0.9, 0.016881159317583376, 0.10757006312757536,
+                          0.07403272046968834]
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("mc-normal: 40 distinct sampled arrangements")
@@ -525,6 +525,27 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, text)
         assert (code, out) == (2, "")
         assert f"{flag} expects N or lo..hi, got {text!r}" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("hardness", "gen", "--m-max", "0"), "--m-max must be at least 1, got 0"),
+            (("hardness", "battery", "--t-max", "0"), "--t-max must be at least 1, got 0"),
+            (("hardness", "solve", "--mincuts", "12", "21", "x"),
+             "--mincuts expects an integer descent budget D, got 'x'"),
+            (("hardness", "gen", "--seed", "-1"), "--seed must be a non-negative"),
+            (("tvd", "--scenario", "Bridge1", "--shuffles", "3",
+              "--method", "mc-normal", "--seed", "-1"),
+             "--seed must be a non-negative"),
+            (("poly", "--source", "1122", "--target", "1212", "--method", "mc",
+              "--seed", "-1"),
+             "--seed must be a non-negative"),
+        ],
+    )
+    def test_bad_flag_values_exit_2_naming_the_flag(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -30,7 +30,9 @@ from riffmix import (
 )
 from riffmix import cache as cache_mod
 from riffmix.descentpoly import (
-    _CHECKPOINT_STREAMS,
+    _BLOCK_SAMPLES,
+    _CHECKPOINT_BLOCKS,
+    _SAMPLE_TABLE_MAX_MULT,
     _TABLE_MAX_MULT,
     SAMPLER_VERSION,
     _counts_plain,
@@ -38,7 +40,7 @@ from riffmix.descentpoly import (
     _LabelTables,
     _perm_table,
 )
-from riffmix.rng import substream
+from riffmix.rng import PURPOSE_HISTOGRAM, substream
 
 
 def brute_polynomial(d1, d2) -> tuple[int, ...]:
@@ -371,47 +373,47 @@ def test_histogram_counts_sum_and_determinism():
 # Reference counts of the sampler's draw order.  Cached histograms are
 # keyed by `SAMPLER_VERSION`, so a change to the draw order must fail here
 # until that version is bumped.  Cases: table path, argsort path, mixed
-# (two seeds), a stream quota above one 65,536-member batch, cached (so
-# stored after every `_CHECKPOINT_STREAMS` streams), and an argsort label
-# whose source runs another label splits, on both sides of mixed
-# boundaries.
+# (two seeds), 140,001 samples spanning three `_BLOCK_SAMPLES` blocks, the
+# last one partial, cached (so stored when its one block is done), and an
+# argsort label whose source runs another label splits, on both sides of
+# mixed boundaries.
 _TABLE_PAIR = ("1^4,2^4,3^3,4^4,5^2", "4,3,4^2,1,5^2,2^2,1,3,2^2,4,3,1^2")
 _MIXED_PAIR = ("1^8,2^3,3", "1^4,2,1,2,3,2,1^3")
 _PINNED = [
     (
         _TABLE_PAIR,
         dict(samples=30000, seed=31),
-        (0, 0, 0, 0, 21, 352, 2447, 6981, 9917, 7160, 2641, 440, 41, 0, 0, 0, 0),
+        (0, 0, 0, 0, 27, 379, 2339, 6924, 9924, 7180, 2680, 503, 43, 1, 0, 0, 0),
     ),
     (
         ("1^8,2^8", "1,2^2,1,2,1,2,1,2^2,1,2,1,2,1^2"),
         dict(samples=20000, seed=32),
-        (0, 0, 0, 1, 58, 599, 2696, 5901, 6370, 3439, 823, 109, 4, 0, 0, 0),
+        (0, 0, 0, 1, 49, 616, 2768, 5992, 6280, 3336, 853, 100, 5, 0, 0, 0),
     ),
     (
         _MIXED_PAIR,
         dict(samples=20000, seed=33),
-        (0, 0, 8, 471, 3704, 8064, 5913, 1711, 127, 2, 0, 0),
+        (0, 0, 6, 465, 3655, 8187, 5865, 1681, 139, 2, 0, 0),
     ),
     (
         ("1^3,2^3,3^2", "2^2,3,1,2,3,1^2"),
-        dict(samples=140001, seed=34, streams=2),
-        (0, 0, 11591, 54811, 58296, 15303, 0, 0),
+        dict(samples=140001, seed=34),
+        (0, 0, 11842, 54563, 58220, 15376, 0, 0),
     ),
     (
         _TABLE_PAIR,
         dict(samples=8000, seed=35, cache_dir=True),
-        (0, 0, 0, 0, 10, 104, 666, 1825, 2619, 1942, 702, 126, 6, 0, 0, 0, 0),
+        (0, 0, 0, 0, 2, 84, 675, 1890, 2590, 1920, 715, 114, 10, 0, 0, 0, 0),
     ),
     (
         _MIXED_PAIR,
         dict(samples=20000, seed=36),
-        (0, 0, 9, 496, 3788, 7953, 5949, 1651, 154, 0, 0, 0),
+        (0, 0, 9, 487, 3665, 8093, 5977, 1632, 136, 1, 0, 0),
     ),
     (
         ("1^3,2,1^5,2", "2,1^4,2,1^4"),
         dict(samples=20000, seed=37),
-        (0, 0, 122, 1455, 6318, 7977, 3659, 459, 10, 0),
+        (0, 0, 105, 1466, 6444, 7884, 3624, 456, 21, 0),
     ),
 ]
 
@@ -422,6 +424,21 @@ def test_histogram_counts_are_pinned(tmp_path, pair, kwargs, counts):
     if "cache_dir" in kwargs:
         kwargs = dict(kwargs, cache_dir=tmp_path)
     assert mc_descent_histogram(d1, d2, **kwargs).counts == counts
+
+
+def test_histogram_is_the_sum_of_its_blocks():
+    # Block b holds `_BLOCK_SAMPLES` samples, the last block the remainder,
+    # drawn from its own substream alone, so any split of the blocks over
+    # calls (checkpoints, resumes) gives the same counts.
+    d1, d2 = map(parse_deck, _MIXED_PAIR)
+    sizes = [_BLOCK_SAMPLES, _BLOCK_SAMPLES, 777]
+    tables = _LabelTables(d1, d2, _SAMPLE_TABLE_MAX_MULT)
+    blocks = [
+        tables.sample_counts([size], [substream(38, PURPOSE_HISTOGRAM, b)])
+        for b, size in enumerate(sizes)
+    ]
+    hist = mc_descent_histogram(d1, d2, sum(sizes), seed=38)
+    assert hist.counts == tuple(int(c) for c in sum(blocks))
 
 
 def test_histogram_tracks_exact_distribution():
@@ -552,7 +569,9 @@ def test_histogram_cache_skips_other_samplers(tmp_path):
 def test_histogram_resume_matches_uninterrupted(tmp_path, monkeypatch):
     d1 = parse_deck("1,2,1,2,1")
     d2 = parse_deck("1,1,2,2,1")
-    straight = mc_descent_histogram(d1, d2, 8000, seed=12)
+    # More blocks than one checkpoint holds, the last one partial.
+    samples = (_CHECKPOINT_BLOCKS + 1) * _BLOCK_SAMPLES + 123
+    straight = mc_descent_histogram(d1, d2, samples, seed=12)
 
     real_store = cache_mod.store
     flushes = []
@@ -565,9 +584,9 @@ def test_histogram_resume_matches_uninterrupted(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cache_mod, "store", crash_after_first_flush)
     with pytest.raises(RuntimeError):
-        mc_descent_histogram(d1, d2, 8000, seed=12, cache_dir=tmp_path)
+        mc_descent_histogram(d1, d2, samples, seed=12, cache_dir=tmp_path)
     monkeypatch.setattr(cache_mod, "store", real_store)
-    assert flushes == [_CHECKPOINT_STREAMS]
+    assert flushes == [_CHECKPOINT_BLOCKS]
 
-    resumed = mc_descent_histogram(d1, d2, 8000, seed=12, cache_dir=tmp_path)
+    resumed = mc_descent_histogram(d1, d2, samples, seed=12, cache_dir=tmp_path)
     assert resumed.counts == straight.counts

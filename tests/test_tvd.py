@@ -17,13 +17,16 @@ from riffmix import (
     Scenario,
     bayer_diaconis_tvd,
     custom_scenario,
+    exact_descent_polynomial,
     exact_tvd_curve,
     mc_tvd_curve,
     parse_deck,
     riffles_to_packets,
+    sample_uniform_rearrangement,
     scenario,
     scenario_names,
 )
+from riffmix.rng import PURPOSE_TVD, substream
 
 
 def riffle_result(cards, digits, a):
@@ -225,6 +228,25 @@ class TestMcTvd:
         assert one.value == two.value
         assert one.value != other.value
 
+    def test_exact_backend_value_is_fsum_of_independent_draws(self):
+        # All k arrangements come from one substream, and each value is
+        # the correctly rounded sum of the k exact terms, over k.
+        s = custom_scenario("1^3,2^2,3", FIXED_SOURCE)
+        packets, k = [2, 4, 8], 300
+        gen = substream(21, PURPOSE_TVD)
+        terms = []
+        for _ in range(k):
+            d1, d2 = s.pair(sample_uniform_rearrangement(s.anchor, gen))
+            poly = exact_descent_polynomial(d1, d2)
+            terms.append(
+                [float(max(0, 1 - s.arrangements * poly.probability(a)))
+                 for a in packets]
+            )
+        curve = mc_tvd_curve(s, packets, k=k, seed=21)
+        assert [est.value for est in curve] == [
+            math.fsum(column) / k for column in zip(*terms)
+        ]
+
     def test_estimate_record_fields(self):
         s = custom_scenario("1,1,2,2", FIXED_SOURCE)
         est = mc_tvd_curve(s, [2], k=50, seed=3)[0]
@@ -264,10 +286,10 @@ class TestMcTvd:
     @pytest.mark.parametrize(
         "name, values",
         [
-            ("Bridge1", [1.0, 0.8861901908504535, 0.6267376115980721,
-                         0.3620426322258765]),
-            ("Blackjack1", [0.925, 0.05305012843553166, 0.15446514309415865,
-                            0.09974192816804986]),
+            ("Bridge1", [1.0, 0.9194253348304668, 0.7147033196242567,
+                         0.4089128991765505]),
+            ("Blackjack1", [0.9, 0.016881159317583376, 0.10757006312757536,
+                            0.07403272046968834]),
         ],
     )
     def test_normal_backend_values_are_pinned(self, name, values):
@@ -286,22 +308,22 @@ class TestMcTvd:
         [
             # Integer vectors.
             ("1^2,2^2,3", FIXED_TARGET, {},
-             [1.0, 0.5104166666666666, 0.3932291666666667,
-              0.23087565104166666, 0.46090534979423864]),
+             [1.0, 0.6770833333333334, 0.2962239583333333,
+              0.12837727864583334, 0.4218106995884774]),
             ("1^3,2^3", FIXED_SOURCE, {},
-             [0.8333333333333334, 0.25, 0.11100260416666667,
-              0.054555257161458336, 0.15249199817101053]),
+             [1.0, 0.25, 0.1201171875, 0.058827718098958336,
+              0.1616369455875629]),
             # Fraction vectors.
             ("1^6,2^6", FIXED_SOURCE,
              {"backend": "mc-histogram", "hist_samples": 3000},
-             [1.0, 1.0, 0.34797108968098955, 0.1437239489207665,
-              0.6995579942082001]),
+             [1.0, 1.0, 0.19411443074544268, 0.03867400822540124,
+              0.5328913275415333]),
             # Float vectors.
             ("1^6,2^6", FIXED_SOURCE,
              {"backend": "mc-histogram", "hist_samples": 3000,
               "extrapolate": True, "fit_degree": 2, "window": (2, 7)},
-             [1.0, 0.16374043473941455, 0.3265471087844258,
-              0.1428860272470179, 0.5816775901285226]),
+             [1.0, 0.3586206732153741, 0.1818787618541848,
+              0.0383106716054765, 0.47770969875351993]),
         ],
     )
     def test_sampled_values_are_pinned(self, deck, kind, options, values):
@@ -404,7 +426,6 @@ class TestCurves:
     )
     def test_sampling_routes(self, deck, kind, options):
         s = custom_scenario(deck, kind)
-        # Each histogram costs about 0.1 s whatever its size, so k is small.
         curve = mc_tvd_curve(s, self.PACKETS, k=6, seed=11, **options)
         singles = [
             mc_tvd_curve(s, [a], k=6, seed=11, **options)[0] for a in self.PACKETS

@@ -63,6 +63,19 @@ class HistogramKey:
         return Path(cache_dir) / f"hist_{self.digest()}.txt"
 
 
+def ensure_dir(cache_dir: str | Path) -> Path:
+    """`cache_dir` as a `Path`, created if missing.  Raises `ValueError`
+    naming it when it cannot be created."""
+    cache_dir = Path(cache_dir)
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot use cache directory {cache_dir}: {exc.strerror}"
+        ) from None
+    return cache_dir
+
+
 def store(
     cache_dir: Path,
     key: HistogramKey,
@@ -70,8 +83,7 @@ def store(
     completed: int,
 ) -> None:
     """Atomically write `counts` merged over the first `completed` blocks."""
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    cache_dir = ensure_dir(cache_dir)
     lines = [
         FORMAT_TAG,
         *(f"{k}={v}" for k, v in key.fields().items()),

@@ -54,8 +54,9 @@ from .hardness import (
 )
 from .rng import substream, PURPOSE_INSTANCE_GEN
 from .tvd import (
-    bayer_diaconis_tvd,
+    Scenario,
     custom_scenario,
+    distinct_scenario,
     exact_tvd_curve,
     mc_tvd_curve,
     riffles_to_packets,
@@ -193,19 +194,18 @@ def _deck_arg(text: str) -> Deck:
 # bd
 
 
+def _exact_rows(s: Scenario, shuffles: list[int], **caps: int) -> list[ResultRow]:
+    """One `exact_tvd_curve` row per riffle count of `shuffles`."""
+    values = exact_tvd_curve(s, [riffles_to_packets(k) for k in shuffles], **caps)
+    return [
+        ResultRow(scenario=s.name, shuffles=k, method="exact", value=float(v))
+        for k, v in zip(shuffles, values)
+    ]
+
+
 def cmd_bd(args: argparse.Namespace) -> int:
-    rows = []
-    for k in _parse_range(args.shuffles, "--shuffles"):
-        val = bayer_diaconis_tvd(args.n, k)
-        rows.append(
-            ResultRow(
-                scenario=f"bd:{args.n}",
-                shuffles=k,
-                method="exact",
-                value=float(val),
-            )
-        )
-    _emit_rows(rows, args.format)
+    shuffles = _parse_range(args.shuffles, "--shuffles")
+    _emit_rows(_exact_rows(distinct_scenario(args.n), shuffles), args.format)
     return 0
 
 
@@ -227,20 +227,16 @@ def cmd_tvd(args: argparse.Namespace) -> int:
     s = _resolve_scenario(args)
     window = _parse_window(args.window) if args.window else None
     shuffles = _parse_range(args.shuffles, "--shuffles")
-    packets = [riffles_to_packets(k) for k in shuffles]
     if args.method == "exact":
-        values = exact_tvd_curve(
+        rows = _exact_rows(
             s,
-            packets,
+            shuffles,
             arrangement_cap=args.arrangement_cap,
             transition_cap=args.transition_cap,
         )
-        rows = [
-            ResultRow(scenario=s.name, shuffles=k, method="exact", value=float(v))
-            for k, v in zip(shuffles, values)
-        ]
         _emit_rows(rows, args.format)
         return 0
+    packets = [riffles_to_packets(k) for k in shuffles]
     backend = {
         "mc-exact": "exact-oracle",
         "mc-hist": "mc-histogram",
@@ -362,9 +358,13 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 
 def _gen_instances(args: argparse.Namespace) -> list[MatchingInstance]:
-    for flag, bound in (("--m-max", args.m_max), ("--t-max", args.t_max)):
-        if bound < 1:
-            raise ValueError(f"{flag} must be at least 1, got {bound}")
+    for flag, value, least in (
+        ("--count", args.count, 0),
+        ("--m-max", args.m_max, 1),
+        ("--t-max", args.t_max, 1),
+    ):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     gen = substream(_seed(args), PURPOSE_INSTANCE_GEN)
     return [
         random_matching_instance(gen, m_max=args.m_max, t_max=args.t_max)

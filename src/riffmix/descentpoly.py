@@ -378,8 +378,8 @@ def _counts_vectorized(d1: Deck, d2: Deck) -> list[int]:
 
 
 @lru_cache(maxsize=4096)
-def _exact_polynomial_cached(d1: Deck, d2: Deck, cap: int) -> DescentPolynomial:
-    card = _capped_cardinality(d1, d2, min(cap, _COUNT_MAX))
+def _exact_polynomial_cached(d1: Deck, d2: Deck) -> DescentPolynomial:
+    card = transition_cardinality(d1, d2)
     if card <= _PLAIN_ENUM_MAX or max(d1.counts.values()) > _TABLE_MAX_MULT:
         counts = _counts_plain(d1, d2)
     else:
@@ -393,11 +393,12 @@ def exact_descent_polynomial(
     """Classify every permutation carrying `d1` onto `d2` by descents.
 
     Raises `CapExceededError` when the transition set is larger than
-    `cap`, and `SignatureMismatchError` when the decks hold different
-    cards.  Results are memoized, so repeated queries for the same pair
-    are free.
+    `cap` (or than the int64 tally allows), and `SignatureMismatchError`
+    when the decks hold different cards.  Results are memoized by deck
+    pair, so repeated queries for the same pair are free.
     """
-    return _exact_polynomial_cached(d1, d2, cap)
+    _capped_cardinality(d1, d2, min(cap, _COUNT_MAX))
+    return _exact_polynomial_cached(d1, d2)
 
 
 # ---------------------------------------------------------------------------
@@ -519,22 +520,18 @@ class PolynomialFamily:
 
 
 def descent_polynomial_family(
-    anchor: Deck, role: str = "source", cap: int = 10**8
+    anchor: Deck, role: str = "source"
 ) -> PolynomialFamily:
     """Sweep all n! position maps once, classifying them by the
     counterpart deck they produce and their descent count.
 
     This is plain exhaustive enumeration, shared across counterparts:
     row sums equal the transition cardinality and every counterpart
-    arrangement appears.  Requires n <= 10 and n! <= cap.
+    arrangement appears.  Requires n <= 10, which `_perm_table` enforces.
     """
     if role not in ("source", "target"):
         raise ValueError(f"role must be 'source' or 'target', got {role!r}")
     n = anchor.n
-    if math.factorial(n) > cap:
-        raise CapExceededError(
-            f"sweep over {math.factorial(n)} position maps is above the cap of {cap}"
-        )
     perms, des = _perm_table(n)
     labels, exp = _label_digits(anchor)
     h = len(labels)
@@ -640,6 +637,8 @@ def mc_descent_histogram(
     counts = np.zeros(n, dtype=np.int64)
     first_block = 0
     if cache_dir is not None:
+        # An unusable directory is refused before any sampling.
+        cache_dir = _cache.ensure_dir(cache_dir)
         cached = _cache.load(cache_dir, key)
         if cached is not None and len(cached[0]) == n:
             stored, completed = cached
@@ -701,17 +700,14 @@ def eulerian_row(n: int) -> tuple[int, ...]:
     """Counts of n-card permutations by descent number (degrees 0..n-1)."""
     if n < 1:
         raise ValueError("need at least one card")
-    if n == 1:
-        return (1,)
-    prev = eulerian_row(n - 1)
-    row = []
-    for d in range(n):
-        val = 0
-        if d < n - 1:
-            val += (d + 1) * prev[d]
-        if d >= 1:
-            val += (n - d) * prev[d - 1]
-        row.append(val)
+    row = [1]
+    for m in range(2, n + 1):
+        # Inserting card m into an (m-1)-card permutation with d descents
+        # keeps d in d + 1 of the m gaps and adds one in the other m - 1 - d.
+        row = [
+            (d + 1) * below + (m - d) * left
+            for d, (below, left) in enumerate(zip(row + [0], [0] + row))
+        ]
     return tuple(row)
 
 

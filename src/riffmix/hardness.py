@@ -59,6 +59,8 @@ class MatchingInstance:
     triples: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
+        if self.m < 0:
+            raise ValueError(f"m must be nonnegative, got {self.m}")
         for t in self.triples:
             if len(t) != 3 or any(not 1 <= v <= self.m for v in t):
                 raise ValueError(f"triple {t} out of range 1..{self.m}")

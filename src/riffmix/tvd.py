@@ -43,6 +43,7 @@ from .approx import (
 )
 from .deck import (
     Deck,
+    _capped_cardinality,
     arrangement_count,
     deck_text,
     enumerate_arrangements,
@@ -142,19 +143,17 @@ def riffles_to_packets(shuffles: int) -> int:
     return 2**shuffles
 
 
+def distinct_scenario(n: int) -> Scenario:
+    """The fixed-source scenario of the `n` distinct cards 1..n."""
+    if n < 1:
+        raise ValueError("need at least one card")
+    return Scenario(f"bd:{n}", FIXED_SOURCE, Deck(tuple(map(str, range(1, n + 1)))))
+
+
 def bayer_diaconis_tvd(n: int, shuffles: int) -> Fraction:
     """Exact distance from uniform for `n` distinct cards after
     `shuffles` riffles, via the closed form over descent counts."""
-    if n < 1:
-        raise ValueError("need at least one card")
-    weighted = [shuffle_weights(n, riffles_to_packets(shuffles))]
-    fact = math.factorial(n)
-    # The permutations with d descents share the unit vector at degree d.
-    excess = sum(
-        c * max(0, _gaps([0] * d + [1], weighted, fact)[0])
-        for d, c in enumerate(eulerian_row(n))
-    )
-    return Fraction(excess, fact * weighted[0][1])
+    return exact_tvd_curve(distinct_scenario(n), [riffles_to_packets(shuffles)])[0]
 
 
 def _gaps(
@@ -178,34 +177,42 @@ def exact_tvd_curve(
     """Sum the distance exactly over every arrangement, at each packet
     count in `packets`.
 
-    Uses a single permutation sweep when the anchor is small enough,
-    falling back to per-arrangement enumeration; either way each
-    arrangement's coefficients are found once for all packet counts.
-    Raises `CapExceededError` when the arrangement count exceeds
-    `arrangement_cap` or a transition set exceeds `transition_cap`.
+    The deck alone picks the route: distinct cards take the closed form,
+    decks of up to `_SWEEP_MAX_N` cards one permutation sweep, and larger
+    decks per-arrangement enumeration, each found once for all packet
+    counts.  Unless the cards are distinct, raises `CapExceededError`
+    when the arrangement count exceeds `arrangement_cap` or the
+    transition set exceeds `transition_cap`; the caps pick no route.
     """
     n = s.anchor.n
     weighted = [shuffle_weights(n, a) for a in packets]
     count = s.arrangements
-    if count > arrangement_cap:
-        raise CapExceededError(
-            f"scenario has {count} arrangements, above the cap of {arrangement_cap}"
-        )
-    role = "source" if s.kind == FIXED_SOURCE else "target"
     # Arrangements sharing a coefficient vector share their terms, so each
     # distinct vector is scored once and weighted by how often it occurs.
-    if n <= _SWEEP_MAX_N and math.factorial(n) <= transition_cap:
-        family = descent_polynomial_family(s.anchor, role=role, cap=transition_cap)
-        if len(family.codes) != count:
-            raise ArithmeticError(
-                "sweep row count disagrees with arrangement count; this is a bug"
-            )
-        rows = Counter(map(tuple, family.counts.tolist()))
+    if len(s.anchor.counts) == n:
+        # The permutations with d descents share the unit vector at degree d.
+        unit = [(0,) * d + (1,) + (0,) * (n - d - 1) for d in range(n)]
+        rows = Counter(dict(zip(unit, eulerian_row(n))))
     else:
-        rows = Counter(
-            exact_descent_polynomial(*s.pair(c), cap=transition_cap).coefficients
-            for c in enumerate_arrangements(s.anchor, cap=arrangement_cap)
-        )
+        if count > arrangement_cap:
+            raise CapExceededError(
+                f"scenario has {count} arrangements, above the cap of {arrangement_cap}"
+            )
+        # Every arrangement's transition set has the anchor's size.
+        _capped_cardinality(s.anchor, s.anchor, transition_cap)
+        if n <= _SWEEP_MAX_N:
+            role = "source" if s.kind == FIXED_SOURCE else "target"
+            family = descent_polynomial_family(s.anchor, role=role)
+            if len(family.codes) != count:
+                raise ArithmeticError(
+                    "sweep row count disagrees with arrangement count; this is a bug"
+                )
+            rows = Counter(map(tuple, family.counts.tolist()))
+        else:
+            rows = Counter(
+                _exact_coefficients(s, c, transition_cap)
+                for c in enumerate_arrangements(s.anchor, cap=arrangement_cap)
+            )
     excess = [0] * len(weighted)
     for row, times in rows.items():
         for i, gap in enumerate(_gaps(row, weighted, count)):
@@ -261,8 +268,7 @@ def _exact_coefficients(
     s: Scenario, counterpart: Deck, transition_cap: int
 ) -> tuple[int, ...]:
     """Exact transition polynomial (small decks only)."""
-    d1, d2 = s.pair(counterpart)
-    return exact_descent_polynomial(d1, d2, cap=transition_cap).coefficients
+    return exact_descent_polynomial(*s.pair(counterpart), cap=transition_cap).coefficients
 
 
 def _histogram_coefficients(

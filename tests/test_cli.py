@@ -77,8 +77,45 @@ class TestBd:
         assert "bd:52" in lines[1]
         assert "0.334" in lines[1]
 
+    def test_large_deck(self, capsys):
+        code, out, _ = run(capsys, "bd", "--n", "600", "--shuffles", "12")
+        assert code == 0
+        _, body = csv_body(out)
+        assert [ResultRow.from_csv(line).shuffles for line in body] == [12]
+
+
+def values(out):
+    return [ResultRow.from_csv(line).value for line in csv_body(out)[1]]
+
 
 class TestTvd:
+    @pytest.mark.parametrize(
+        "tvd, bd",
+        [
+            (("--scenario", "BayerDiaconis", "--shuffles", "0..12"),
+             ("--n", "52", "--shuffles", "0..12")),
+            (("--deck", ",".join(map(str, range(1, 11))), "--kind", "fixed-target",
+              "--shuffles", "3"),
+             ("--n", "10", "--shuffles", "3")),
+        ],
+    )
+    def test_distinct_decks_give_the_bd_values(self, capsys, tvd, bd):
+        code, out, _ = run(capsys, "tvd", "--method", "exact", *tvd)
+        assert code == 0
+        _, bd_out, _ = run(capsys, "bd", *bd)
+        assert values(out) == values(bd_out)
+
+    def test_unusable_cache_dir_exits_2_naming_it(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(
+            capsys, "tvd", "--scenario", "Blackjack1", "--method", "mc-hist",
+            "--shuffles", "5", "--k", "2", "--hist-samples", "1000",
+            "--cache-dir", str(blocker / "x"),
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and str(blocker / "x") in err
+
     def test_exact_two_cards(self, capsys):
         code, out, _ = run(
             capsys,
@@ -311,6 +348,19 @@ class TestPoly:
         assert code == 3
         assert "cap" in err.lower()
 
+    def test_unusable_cache_env_dir_exits_2_naming_it(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("RIFFMIX_CACHE_DIR", str(blocker / "x"))
+        code, out, err = run(
+            capsys, "poly", "--source", "1122", "--target", "1221",
+            "--method", "mc", "--l", "1000",
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and str(blocker / "x") in err
+
     def test_cache_env_var_is_honored(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("RIFFMIX_CACHE_DIR", str(tmp_path))
         argv = (
@@ -408,6 +458,13 @@ class TestHardness:
         )
         assert code == 0
         assert out.startswith("yes witness=")
+
+    def test_solve_negative_universe_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "hardness", "solve", "--instance", "3dm m=-1 triples="
+        )
+        assert (code, out) == (2, "")
+        assert "m must be nonnegative, got -1" in err
 
     def test_battery_agrees_and_exits_0(self, capsys):
         code, out, _ = run(
@@ -540,6 +597,9 @@ class TestExitCodes:
             (("poly", "--source", "1122", "--target", "1212", "--method", "mc",
               "--seed", "-1"),
              "--seed must be a non-negative"),
+            (("hardness", "gen", "--count", "-1"), "--count must be at least 0, got -1"),
+            (("hardness", "battery", "--count", "-1"),
+             "--count must be at least 0, got -1"),
         ],
     )
     def test_bad_flag_values_exit_2_naming_the_flag(self, capsys, argv, message):

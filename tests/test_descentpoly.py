@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -249,8 +250,6 @@ def test_family_lookup_unknown_counterpart():
 def test_family_size_guard():
     with pytest.raises(CapExceededError):
         descent_polynomial_family(parse_deck("1^6,2^5"))
-    with pytest.raises(CapExceededError):
-        descent_polynomial_family(parse_deck("1^5,2^5"), cap=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +297,25 @@ def test_eulerian_rows_golden():
     assert eulerian_row(2) == (1, 1)
     assert eulerian_row(3) == (1, 4, 1)
     assert eulerian_row(4) == (1, 11, 11, 1)
+
+
+def test_eulerian_row_of_a_large_deck_sums_to_its_permutations():
+    assert sum(eulerian_row(600)) == math.factorial(600)
+
+
+@pytest.mark.parametrize("role", ["source", "target"])
+def test_eulerian_rows_are_the_sweep_rows_of_distinct_decks(role):
+    # Every arrangement of distinct cards has one transition, so its row
+    # is the unit vector at that transition's descent count.
+    for n in range(1, 9):
+        family = descent_polynomial_family(
+            parse_deck(",".join(map(str, range(1, n + 1)))), role
+        )
+        units = {
+            tuple(int(d == e) for e in range(n)): c
+            for d, c in enumerate(eulerian_row(n))
+        }
+        assert Counter(map(tuple, family.counts.tolist())) == Counter(units)
 
 
 def test_eulerian_rows_match_bruteforce():

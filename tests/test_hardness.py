@@ -110,6 +110,14 @@ class TestInstanceText:
         with pytest.raises(ValueError):
             MatchingInstance(m=2, triples=((1, 3, 1),))
 
+    def test_negative_universe_rejected_and_empty_one_covered(self):
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            parse_instance("3dm m=-1 triples=")
+        empty = parse_instance("3dm m=0 triples=")
+        ok, witness = solve_matching(empty)
+        assert ok and list(witness) == []
+        assert matching_witness_ok(empty, witness)
+
 
 class TestReductions:
     def test_single_triple_plain_reduction(self):

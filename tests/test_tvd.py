@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from riffmix import (
     Scenario,
     bayer_diaconis_tvd,
     custom_scenario,
+    descent_polynomial_family,
+    enumerate_arrangements,
     exact_descent_polynomial,
     exact_tvd_curve,
     mc_tvd_curve,
@@ -146,6 +149,14 @@ class TestExactTvd:
         s = custom_scenario("1,1,2,2,3", FIXED_SOURCE)
         with pytest.raises(CapExceededError):
             exact_tvd_curve(s, [2], transition_cap=2)
+
+    def test_distinct_decks_enumerate_nothing_so_no_cap_applies(self):
+        (value,) = exact_tvd_curve(scenario("BayerDiaconis"), [2**7])
+        assert value == bayer_diaconis_tvd(52, 7)
+        s = custom_scenario("1,2,3", FIXED_SOURCE)
+        assert exact_tvd_curve(s, [2], arrangement_cap=1, transition_cap=0) == [
+            Fraction(1, 3)
+        ]
 
 
 class TestScenarioRegistry:
@@ -400,8 +411,8 @@ class TestCurves:
     @pytest.mark.parametrize(
         "deck, kind, cap",
         [
-            ("1^2,2^2,3", FIXED_TARGET, 10**8),  # permutation sweep
-            ("1^3,2^3", FIXED_SOURCE, 100),  # per-arrangement enumeration
+            ("1^2,2^2,3", FIXED_TARGET, 10**8),
+            ("1^3,2^3", FIXED_SOURCE, 100),  # below 6!, above its 36 transitions
         ],
     )
     def test_exact_routes(self, deck, kind, cap):
@@ -409,6 +420,27 @@ class TestCurves:
         curve = exact_tvd_curve(s, self.PACKETS, transition_cap=cap)
         assert curve == [
             exact_tvd_curve(s, [a], transition_cap=cap)[0] for a in self.PACKETS
+        ]
+        # Both decks take the sweep; its rows, as a multiset, are the
+        # per-arrangement rows.
+        role = "source" if kind == FIXED_SOURCE else "target"
+        family = descent_polynomial_family(s.anchor, role=role)
+        assert Counter(map(tuple, family.counts.tolist())) == Counter(
+            exact_descent_polynomial(*s.pair(c), cap=cap).coefficients
+            for c in enumerate_arrangements(s.anchor)
+        )
+
+    @pytest.mark.parametrize(
+        "deck, kind",
+        [
+            ("1,2,3,4,5", FIXED_TARGET),  # Eulerian closed form
+            ("1^5,2^6", FIXED_SOURCE),  # per-arrangement enumeration
+        ],
+    )
+    def test_exact_routes_picked_by_the_deck(self, deck, kind):
+        s = custom_scenario(deck, kind)
+        assert exact_tvd_curve(s, self.PACKETS) == [
+            exact_tvd_curve(s, [a])[0] for a in self.PACKETS
         ]
 
     @pytest.mark.parametrize(

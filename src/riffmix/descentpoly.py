@@ -43,6 +43,9 @@ _PLAIN_ENUM_MAX = 200
 # are sampled by an argsort of random keys instead.
 _TABLE_MAX_MULT = 9
 _SAMPLE_TABLE_MAX_MULT = 7
+# Consecutive table labels share one draw while their table sizes multiply
+# to at most this, the number of indices an int16 buffer cell holds.
+_UNIT_MAX_ROWS = 1 << 15
 # Permutation sweeps over all n! position maps are allowed up to this n.
 _SWEEP_MAX_N = 10
 _CHUNK = 1 << 19
@@ -50,9 +53,12 @@ _CHUNK = 1 << 19
 # own substream; the last block holds the remainder.
 _BLOCK_SAMPLES = 1 << 16
 # Sampling draws about this many random values per generator call, and
-# scores draws in batches of about this many buffer cells.
+# scores draws in batches of about this many buffer cells and at most this
+# many columns: scoring takes about 16 bytes per column beside the buffer,
+# more than the few cells of a column of table units.
 _DRAW_CELLS = 1 << 13
 _SCORE_CELLS = 1 << 17
+_SCORE_COLUMNS = 1 << 13
 # With a cache directory, partial histogram counts are stored after every
 # this many blocks, so an interrupted run resumes from there.  Each store
 # also scores a partly filled batch, so a histogram stores only a few times.
@@ -61,7 +67,7 @@ _CHECKPOINT_BLOCKS = 4
 _COUNT_MAX = 2**63 - 1
 # Version of the draw order of `mc_descent_histogram`, part of its cache
 # key.  Bump it with any change that changes sampled counts.
-SAMPLER_VERSION = 2
+SAMPLER_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +153,32 @@ def probability_from_coefficients(
 
 
 class _LabelTables:
-    """Per-label structure of one pair's transition set.
+    """Per-label structure of one pair's transition set, drawn in units.
 
     A member of the transition set picks, for each label, one bijection
-    from the label's source slots onto its sorted target positions.  It
-    is held as one column of `width` int16 buffer rows, each label owning
-    a fixed range of them from `first_row[lab]` on.  A label of at most
-    `max_mult` cards has a permutation table and one row, the index of
-    its table row.  A larger label has one row per source slot, the
+    from the label's source slots onto its sorted target positions.  A
+    label of at most `max_mult` cards lists its bijections in a
+    permutation table.  Labels form units in `self.labels` order: a table
+    label joins the table unit before it while their table sizes multiply
+    to at most `_UNIT_MAX_ROWS`, and starts a new one otherwise; any other
+    label is a unit of its own.  The rows of a table unit are the
+    Cartesian product of its labels' table rows in mixed radix, the first
+    label slowest.
+
+    A member is held as one column of `width` int16 buffer rows, each
+    unit owning a fixed range of them from `first_row[lab]` on (shared by
+    the labels of a unit).  A table unit has one row, the index of its
+    unit row.  A label without a table has one row per source slot, the
     index into its sorted targets that the slot goes to.  `descents`
-    scores such columns: a descent inside a run of one label is a
-    per-row lookup (`runs`) for a table label and a compare of two rows
-    (`pairs`) for a larger one, and each boundary between different
-    labels compares two target positions, each read through a (lookup,
-    buffer row) pair (`mixed`).  Enumeration feeds it mixed-radix
-    table-row indices, sampling feeds it random draws.
+    scores such columns: the descents between two cards of one table unit
+    are summed in advance into the unit's descent table, read by one
+    lookup (`runs`); a descent inside a run of a label without a table
+    compares two rows (`pairs`); and each boundary between two units
+    compares two target positions, each read through a (lookup, buffer
+    row) pair (`mixed`).  A table unit's lookups are `columns[lab,
+    slot]`, the target of a slot at each unit row.  Enumeration feeds
+    `descents` mixed-radix unit-row indices, sampling feeds it random
+    draws.
     """
 
     def __init__(self, d1: Deck, d2: Deck, max_mult: int):
@@ -180,91 +197,153 @@ class _LabelTables:
             for lab, tgt in self.targets.items()
             if len(tgt) <= max_mult
         }
-        # Each label's first buffer row, and the runs of consecutive labels
+        self.units: list[list[str]] = []
+        for lab in self.labels:
+            if (
+                self.units
+                and lab in self.tables
+                and self.units[-1][0] in self.tables
+                and self.unit_rows(self.units[-1]) * len(self.tables[lab])
+                <= _UNIT_MAX_ROWS
+            ):
+                self.units[-1].append(lab)
+            else:
+                self.units.append([lab])
+        # Each unit's first buffer row, and the runs of consecutive units
         # that draw from one distribution: a table of one size, or random
         # keys of one width.
         self.first_row: dict[str, int] = {}
         self.width = 0
-        self.draw_groups: list[tuple[int, bool, int, list[str]]] = []
-        for lab in self.labels:
-            is_table = lab in self.tables
-            size = len(self.tables[lab]) if is_table else len(self.targets[lab])
+        self.draw_groups: list[tuple[int, bool, int, list[list[str]]]] = []
+        for unit in self.units:
+            is_table = unit[0] in self.tables
+            size = self.unit_rows(unit) if is_table else len(self.targets[unit[0]])
             if self.draw_groups and self.draw_groups[-1][:2] == (size, is_table):
-                self.draw_groups[-1][3].append(lab)
+                self.draw_groups[-1][3].append(unit)
             else:
-                self.draw_groups.append((size, is_table, self.width, [lab]))
-            self.first_row[lab] = self.width
+                self.draw_groups.append((size, is_table, self.width, [unit]))
+            for lab in unit:
+                self.first_row[lab] = self.width
             self.width += 1 if is_table else size
-
-        def read(lab: str, slot: int) -> tuple[np.ndarray, int]:
-            """The lookup and buffer row giving the target of `slot`."""
-            if lab in self.tables:
-                column = self.tables[lab][:, slot]
-                return np.ascontiguousarray(column), self.first_row[lab]
-            return self.targets[lab], self.first_row[lab] + slot
 
         slot_of = {}
         seen: dict[str, int] = {}
         for i, c in enumerate(cards):
             slot_of[i] = seen.get(c, 0)
             seen[c] = slot_of[i] + 1
-        dtab = {
-            lab: np.zeros(len(tab), dtype=np.int16)
-            for lab, tab in self.tables.items()
+        # Boundaries inside a table unit, each filed under the earlier of
+        # its two labels in unit order, and the boundaries between units.
+        inner: dict[str, list[tuple[str, int, str, int]]] = {
+            lab: [] for lab in self.tables
         }
+        crossing: list[tuple[str, int, str, int]] = []
         self.pairs: list[tuple[int, int]] = []
-        self.mixed: list[tuple[np.ndarray, int, np.ndarray, int]] = []
-        # Per label, the source slot read at each mixed boundary, in order.
-        self.boundary_slots: dict[str, list[int]] = {
-            lab: [] for lab in self.labels
-        }
+        rank = {lab: e for e, lab in enumerate(self.labels)}
         for i in range(self.n - 1):
             ci, cj = cards[i], cards[i + 1]
             qi, qj = slot_of[i], slot_of[i + 1]
-            if ci != cj:
-                self.mixed.append((*read(ci, qi), *read(cj, qj)))
-                self.boundary_slots[ci].append(qi)
-                self.boundary_slots[cj].append(qj)
+            row = self.first_row[ci]
+            if row != self.first_row[cj]:
+                crossing.append((ci, qi, cj, qj))
             elif ci in self.tables:
-                t = self.tables[ci]
-                dtab[ci] += t[:, qi] > t[:, qj]
+                inner[min(ci, cj, key=rank.get)].append((ci, qi, cj, qj))
             else:
-                row = self.first_row[ci]
                 self.pairs.append((row + qi, row + qj))
-        # Labels with no adjacent source slots add nothing.
-        self.runs = [
-            (self.first_row[lab], tab) for lab, tab in dtab.items() if tab.any()
-        ]
+        self.runs: list[tuple[int, np.ndarray]] = []
+        for unit in self.units:
+            if unit[0] in self.tables:
+                des = self._unit_descents(unit, inner)
+                # Units with no descents inside add nothing.
+                if des.any():
+                    self.runs.append((self.first_row[unit[0]], des))
+        unit_of = {lab: unit for unit in self.units for lab in unit}
+        read_slots = dict.fromkeys(
+            (c, q)
+            for bound in crossing
+            for c, q in (bound[:2], bound[2:])
+            if c in self.tables
+        )
+        self.columns = {(c, q): self._spread(unit_of[c], c, q) for c, q in read_slots}
 
-    def distinct_rows(self) -> dict[str, tuple[np.ndarray, np.ndarray | None]]:
-        """Per label, the first row of each group of table rows that agree
-        in every column `descents` reads, and the size of each group (None
-        when every group is a single row).  Groups come in lexicographic
-        order of those columns: the run-descent column, then the boundary
-        columns in boundary order.
+        def read(lab: str, slot: int) -> tuple[np.ndarray, int]:
+            """The lookup and buffer row giving the target of `slot`."""
+            if lab in self.tables:
+                return self.columns[lab, slot], self.first_row[lab]
+            return self.targets[lab], self.first_row[lab] + slot
 
-        Each row becomes one int64 key.  The cells of a label's table are
-        its m sorted target positions indexed by the cells of
-        `_perm_table(m)`, so those indices, 0..m-1, sort like the cells;
-        run descents are below m too.  A slot read at two boundaries is
-        keyed once, as its second column cannot break a tie.  Keys in base
-        m therefore sort like the rows and stay below m^(m+1), at most
-        9^10 for the tables enumeration builds.
+        self.mixed = [(*read(ci, qi), *read(cj, qj)) for ci, qi, cj, qj in crossing]
+
+    def unit_rows(self, unit: list[str]) -> int:
+        """The number of rows of a table unit."""
+        return math.prod(len(self.tables[lab]) for lab in unit)
+
+    def _unit_descents(
+        self, unit: list[str], inner: dict[str, list[tuple[str, int, str, int]]]
+    ) -> np.ndarray:
+        """The descent table of a table unit, built label by label.
+
+        Labels are added last to first.  Adding a label of s table rows
+        in front of the r unit rows built so far gives s*r rows, row i*r+j
+        pairing the label's row i with row j.  The new table is the outer
+        sum of the label's own descents and the table so far (whose inner
+        loop runs over the r rows), plus one comparison of two `_spread`
+        columns per boundary between the label and a later one.
+        """
+        des = np.zeros(1, dtype=np.int16)
+        for k in reversed(range(len(unit))):
+            tab = self.tables[unit[k]]
+            own = np.zeros(len(tab), dtype=np.int16)
+            for ci, qi, cj, qj in inner[unit[k]]:
+                if ci == cj:
+                    own += tab[:, qi] > tab[:, qj]
+            des = (own[:, None] + des).ravel()
+            labels = unit[k:]
+            for ci, qi, cj, qj in inner[unit[k]]:
+                if ci != cj:
+                    des += self._spread(labels, ci, qi) > self._spread(labels, cj, qj)
+        return des
+
+    def _spread(self, labels: list[str], lab: str, slot: int) -> np.ndarray:
+        """The target of `lab`'s `slot` at each row of the unit of
+        `labels`."""
+        k = labels.index(lab)
+        column = np.repeat(self.tables[lab][:, slot], self.unit_rows(labels[k + 1 :]))
+        return np.tile(column, self.unit_rows(labels[:k]))
+
+    def distinct_rows(self) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
+        """Per table unit, keyed by its buffer row, the first row of each
+        group of unit rows that agree in every column `descents` reads,
+        and the size of each group (None when every group is a single
+        row).  Groups come in lexicographic order of those columns: the
+        unit's descent table, then its boundary columns in the order that
+        the boundaries first read them.
+
+        Each row becomes one int64 key.  A boundary column holds the
+        targets of one slot of a label of m cards, and their ranks among
+        that label's sorted targets, 0..m-1, sort like them.  A slot read
+        at two boundaries is keyed once, as its second column cannot break
+        a tie.  Keys in mixed radix, the descent count first and then base
+        m per slot, therefore sort like the rows.  With at most m slots
+        per label and m^m <= (m!)^2, they stay below n times the square of
+        the unit's row count.
         """
         runs = dict(self.runs)
         out = {}
-        for lab in self.labels:
-            m = len(self.targets[lab])
-            ranks = _perm_table(m)[0]
-            key = np.zeros(len(ranks), dtype=np.int64)
-            if self.first_row[lab] in runs:
-                key += runs[self.first_row[lab]]
-            for q in dict.fromkeys(self.boundary_slots[lab]):
-                key = key * m + ranks[:, q]
+        for unit in self.units:
+            if unit[0] not in self.tables:
+                continue
+            row = self.first_row[unit[0]]
+            key = np.zeros(self.unit_rows(unit), dtype=np.int64)
+            if row in runs:
+                key += runs[row]
+            for (lab, _), column in self.columns.items():
+                if self.first_row[lab] == row:
+                    key *= len(self.targets[lab])
+                    key += np.searchsorted(self.targets[lab], column)
             _, first, mult = np.unique(key, return_index=True, return_counts=True)
             if len(first) == len(key):
                 first, mult = np.arange(len(key)), None
-            out[lab] = (first, mult)
+            out[row] = (first, mult)
         return out
 
     def descents(self, rows: np.ndarray | list) -> np.ndarray:
@@ -289,17 +368,18 @@ class _LabelTables:
 
         Block `i` draws `sizes[i]` members from the `i`-th generator, in
         calls of at most `_DRAW_CELLS // width` members (one random value
-        per buffer cell), labels in `self.labels` order: a table label
-        draws its table-row index, a larger label an argsort of random
-        keys, one index per source slot.  Consecutive labels drawn from
-        the same distribution share one generator call, which yields the
-        same values, and leaves the generator in the same state, as one
-        call per label.  Members of successive blocks fill the columns of
+        per buffer cell), units in `self.units` order: a table unit draws
+        its unit-row index, a label without a table an argsort of random
+        keys, one index per source slot.  Consecutive units drawn from the
+        same distribution share one generator call, which yields the same
+        values, and leaves the generator in the same state, as one call
+        per unit.  Members of successive blocks fill the columns of
         one `(width, columns)` buffer, which `descents` scores a batch of
-        about `_SCORE_CELLS` cells at a time.
+        about `_SCORE_CELLS` cells, and at most `_SCORE_COLUMNS` columns,
+        at a time.
         """
         counts = np.zeros(self.n, dtype=np.int64)
-        batch = -(-_SCORE_CELLS // self.width)
+        batch = min(-(-_SCORE_CELLS // self.width), _SCORE_COLUMNS)
         per_call = max(1, _DRAW_CELLS // self.width)
         buf = np.empty((self.width, batch + per_call), dtype=np.int16)
         fill = 0
@@ -320,11 +400,12 @@ class _LabelTables:
         """Draw one member into each column of `out`: one generator call
         per group of `self.draw_groups`."""
         b = out.shape[1]
-        for size, is_table, row, labs in self.draw_groups:
+        for size, is_table, row, units in self.draw_groups:
             if is_table:
-                out[row : row + len(labs)] = gen.integers(0, size, size=(len(labs), b))
+                draws = gen.integers(0, size, size=(len(units), b))
+                out[row : row + len(units)] = draws
             else:
-                for perm in np.argsort(gen.random((len(labs), b, size)), axis=2):
+                for perm in np.argsort(gen.random((len(units), b, size)), axis=2):
                     out[row : row + size] = perm.T
                     row += size
 
@@ -350,15 +431,14 @@ def _counts_plain(d1: Deck, d2: Deck) -> list[int]:
 def _counts_vectorized(d1: Deck, d2: Deck) -> list[int]:
     """Tally descents over a large transition set in batches.
 
-    Table rows that `_LabelTables.descents` cannot tell apart are merged
+    Unit rows that `_LabelTables.descents` cannot tell apart are merged
     first.  Members are then indexed in mixed radix over the distinct
-    rows per label (the last label varies fastest), each weighted by the
+    rows per unit (the last unit varies fastest), each weighted by the
     number of members it stands for.
     """
     n = d1.n
     tables = _LabelTables(d1, d2, _TABLE_MAX_MULT)
-    groups = tables.distinct_rows()
-    radix = [(tables.first_row[lab], *groups[lab]) for lab in reversed(tables.labels)]
+    radix = [(r, *groups) for r, groups in reversed(tables.distinct_rows().items())]
     total = math.prod(len(first) for _, first, _ in radix)
     counts = np.zeros(n, dtype=np.int64)
     for start in range(0, total, _CHUNK):
@@ -543,10 +623,19 @@ def descent_polynomial_family(
         code = np.zeros(len(perms), dtype=np.int64)
         for i in range(n):
             code += (h**i * exp)[perms[:, i]]
-    # Only counterparts some map reaches get a row.  Sorting the n!
-    # (code, degree) keys and then only the distinct ones is faster than
-    # ranking all n! codes with `return_inverse`.
-    uniq, cnt = np.unique(code * n + des, return_counts=True)
+    code *= n
+    code += des
+    # Only counterparts some map reaches get a row.  When the h^n * n
+    # (code, degree) cells are no more than the n! keys, a dense tally is
+    # no larger than the keys and its nonzero rows are the codes.
+    # Otherwise sorting the keys and then only the distinct ones is faster
+    # than ranking all n! codes with `return_inverse`.
+    cells = h**n * n
+    if cells <= len(code):
+        dense = np.bincount(code, minlength=cells).reshape(-1, n)
+        codes = np.flatnonzero(dense.any(axis=1))
+        return PolynomialFamily(anchor, role, labels, codes, dense[codes])
+    uniq, cnt = np.unique(code, return_counts=True)
     codes, inverse = np.unique(uniq // n, return_inverse=True)
     counts = np.zeros((len(codes), n), dtype=np.int64)
     counts[inverse, uniq % n] = cnt

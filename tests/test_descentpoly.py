@@ -115,7 +115,11 @@ def test_plain_and_vectorized_paths_agree():
     "source, target, groups",
     [
         ("1^3,2^8", "2^4,1,2,1,2^3,1", 5),
-        ("1,2,3,1,2,3,1,2", "3,2,1,1,2,3,2,1", 6),
+        # One unit whose only column is its descent table.
+        ("1,2,3,1,2,3,1,2", "3,2,1,1,2,3,2,1", 4),
+        # Units (4, 1) of 30,240 rows and (2, 3) of 12, each read at
+        # boundaries with the other.
+        ("4,1,2,4,3,1,4,2,3,4,1,4,2,4^2", "4^3,2,4^2,1^2,3,2,4,2,1,4,3", 23_280),
         # 45 cards: label 1 is read in 14 columns of values up to 44, so
         # base-46 keys of those values would overflow int64.
         (
@@ -127,24 +131,24 @@ def test_plain_and_vectorized_paths_agree():
 )
 def test_distinct_rows_match_row_wise_unique(source, target, groups):
     tables = _LabelTables(parse_deck(source), parse_deck(target), _TABLE_MAX_MULT)
-    read = {lab: [] for lab in tables.labels}
-    for i, tab in tables.runs:
-        read[tables.labels[i]].append(tab)
-    for left, i, right, j in tables.mixed:
-        read[tables.labels[i]].append(left)
-        read[tables.labels[j]].append(right)
     merged = tables.distinct_rows()
-    assert len(merged[tables.labels[0]][0]) == groups
-    for lab in tables.labels:
+    read = {row: [] for row in merged}
+    for row, tab in tables.runs:
+        read[row].append(tab)
+    for left, i, right, j in tables.mixed:
+        read[i].append(left)
+        read[j].append(right)
+    assert len(merged[0][0]) == groups
+    for row, columns in read.items():
         _, first, mult = np.unique(
-            np.stack(read[lab], axis=1),
+            np.stack(columns, axis=1),
             axis=0,
             return_index=True,
             return_counts=True,
         )
-        got_first, got_mult = merged[lab]
+        got_first, got_mult = merged[row]
         if got_mult is None:  # every row is its own group, in table order
-            assert len(first) == len(tables.tables[lab])
+            assert len(first) == len(columns[0])
             np.testing.assert_array_equal(got_first, np.arange(len(first)))
         else:
             np.testing.assert_array_equal(got_first, first)
@@ -401,7 +405,7 @@ _PINNED = [
     (
         _TABLE_PAIR,
         dict(samples=30000, seed=31),
-        (0, 0, 0, 0, 27, 379, 2339, 6924, 9924, 7180, 2680, 503, 43, 1, 0, 0, 0),
+        (0, 0, 0, 0, 33, 394, 2325, 6847, 9891, 7201, 2809, 473, 25, 2, 0, 0, 0),
     ),
     (
         ("1^8,2^8", "1,2^2,1,2,1,2,1,2^2,1,2,1,2,1^2"),
@@ -411,22 +415,22 @@ _PINNED = [
     (
         _MIXED_PAIR,
         dict(samples=20000, seed=33),
-        (0, 0, 6, 465, 3655, 8187, 5865, 1681, 139, 2, 0, 0),
+        (0, 0, 7, 488, 3736, 7983, 5994, 1655, 136, 1, 0, 0),
     ),
     (
         ("1^3,2^3,3^2", "2^2,3,1,2,3,1^2"),
         dict(samples=140001, seed=34),
-        (0, 0, 11842, 54563, 58220, 15376, 0, 0),
+        (0, 0, 11709, 54518, 58185, 15589, 0, 0),
     ),
     (
         _TABLE_PAIR,
         dict(samples=8000, seed=35, cache_dir=True),
-        (0, 0, 0, 0, 2, 84, 675, 1890, 2590, 1920, 715, 114, 10, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 111, 601, 1890, 2610, 1944, 710, 125, 9, 0, 0, 0, 0),
     ),
     (
         _MIXED_PAIR,
         dict(samples=20000, seed=36),
-        (0, 0, 9, 487, 3665, 8093, 5977, 1632, 136, 1, 0, 0),
+        (0, 0, 4, 466, 3694, 8089, 5938, 1666, 141, 2, 0, 0),
     ),
     (
         ("1^3,2,1^5,2", "2,1^4,2,1^4"),
@@ -474,6 +478,88 @@ def test_histogram_tracks_exact_distribution():
         / 2
     )
     assert tvd < Fraction(1, 100)
+
+
+# Table units: a three-label unit of a block source (13,824 rows), one
+# four-label unit (144 rows) of a source that interleaves its labels, and
+# units of small labels on both sides of an 8-card argsort label.
+@pytest.mark.parametrize(
+    "source, target_seed",
+    [
+        ("1^4,2^4,3^4", 61),
+        ("2,1^2,3,2,4,1,3,4,2", 65),
+        ("1,2,1,3^3,2,4,3^2,1,3,4^2,3^2", 63),
+    ],
+)
+def test_unit_histograms_track_exact_distribution(source, target_seed):
+    d1 = parse_deck(source)
+    d2 = sample_uniform_rearrangement(d1, target_seed)
+    poly = exact_descent_polynomial(d1, d2)
+    samples = 200_000
+    hist = mc_descent_histogram(d1, d2, samples, seed=62)
+    m = poly.cardinality
+    tvd = (
+        sum(
+            abs(Fraction(c, samples) - Fraction(e, m))
+            for c, e in zip(hist.counts, poly.coefficients)
+        )
+        / 2
+    )
+    assert tvd < Fraction(1, 100)
+
+
+@pytest.mark.parametrize(
+    "source, units",
+    [
+        (",".join(f"{v}^4" for v in range(1, 14)), [3, 3, 3, 3, 1]),
+        (",".join(f"{v}^2" for v in range(1, 27)), [15, 11]),
+        ("1^2,2^3,3^8,4^2,5^3,6^7,7", [2, 1, 2, 2]),
+        ("3,1,2^2,3,1,4^3,2^2,3,4,5^5,4", [3, 2]),
+    ],
+)
+def test_units_decode_to_the_product_of_their_label_tables(source, units):
+    d1 = parse_deck(source)
+    d2 = sample_uniform_rearrangement(d1, 64)
+    tables = _LabelTables(d1, d2, _SAMPLE_TABLE_MAX_MULT)
+    assert [len(unit) for unit in tables.units] == units
+
+    def digit(lab, index):
+        """`lab`'s table row in row `index` of its unit: a mixed-radix
+        digit, the first label slowest."""
+        unit = next(unit for unit in tables.units if lab in unit)
+        later = unit[unit.index(lab) + 1 :]
+        size = len(tables.tables[lab])
+        return index // math.prod(len(tables.tables[x]) for x in later) % size
+
+    slot = [d1.cards[:i].count(c) for i, c in enumerate(d1.cards)]
+    gen = substream(64, 0)
+    for unit in tables.units:
+        if unit[0] not in tables.tables:
+            assert len(tables.targets[unit[0]]) > _SAMPLE_TABLE_MAX_MULT
+            continue
+        sizes = [len(tables.tables[lab]) for lab in unit]
+        rows = math.prod(sizes)
+        assert rows <= 2**15
+        u = np.arange(rows)
+        assert list(zip(*(digit(lab, u) for lab in unit))) == list(
+            itertools.product(*map(range, sizes))
+        )
+        # Every row of this unit, with the other units drawn at random,
+        # must score the member its digits decode to.
+        buf = np.empty((tables.width, rows), dtype=np.int16)
+        tables._draw(gen, buf)
+        buf[tables.first_row[unit[0]]] = u
+        images = np.empty((d1.n, rows), dtype=np.int64)
+        for i, c in enumerate(d1.cards):
+            r = tables.first_row[c]
+            if c in tables.tables:
+                images[i] = tables.tables[c][digit(c, buf[r]), slot[i]]
+            else:
+                images[i] = tables.targets[c][buf[r + slot[i]]]
+        # Each member maps the source positions onto the target positions.
+        assert (np.sort(images, axis=0) == np.arange(d1.n)[:, None]).all()
+        want = (images[:-1] > images[1:]).sum(axis=0)
+        np.testing.assert_array_equal(tables.descents(buf), want)
 
 
 def test_histogram_big_label_path():

@@ -15,6 +15,7 @@ sampling of the transition set, with per-degree reliability gauges.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +41,7 @@ from .rng import PURPOSE_HISTOGRAM, substream
 _PLAIN_ENUM_MAX = 200
 # Per-label permutation tables are materialized up to this multiplicity
 # when enumerating, and up to the second one when sampling; larger labels
-# are sampled by an argsort of random keys instead.
+# are sampled as insertion codes instead, one uniform code per source slot.
 _TABLE_MAX_MULT = 9
 _SAMPLE_TABLE_MAX_MULT = 7
 # Consecutive table labels share one draw while their table sizes multiply
@@ -67,7 +68,7 @@ _CHECKPOINT_BLOCKS = 4
 _COUNT_MAX = 2**63 - 1
 # Version of the draw order of `mc_descent_histogram`, part of its cache
 # key.  Bump it with any change that changes sampled counts.
-SAMPLER_VERSION = 3
+SAMPLER_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +169,20 @@ class _LabelTables:
     A member is held as one column of `width` int16 buffer rows, each
     unit owning a fixed range of them from `first_row[lab]` on (shared by
     the labels of a unit).  A table unit has one row, the index of its
-    unit row.  A label without a table has one row per source slot, the
-    index into its sorted targets that the slot goes to.  `descents`
-    scores such columns: the descents between two cards of one table unit
-    are summed in advance into the unit's descent table, read by one
-    lookup (`runs`); a descent inside a run of a label without a table
-    compares two rows (`pairs`); and each boundary between two units
-    compares two target positions, each read through a (lookup, buffer
-    row) pair (`mixed`).  A table unit's lookups are `columns[lab,
-    slot]`, the target of a slot at each unit row.  Enumeration feeds
-    `descents` mixed-radix unit-row indices, sampling feeds it random
-    draws.
+    unit row.  A label without a table (a code label) has one row per
+    source slot q, its insertion code c_q, uniform on 0..q: the number of
+    earlier slots whose target is larger.  Codes and bijections match one
+    to one.  `descents` scores such columns: the descents between two
+    cards of one table unit are summed in advance into the unit's descent
+    table, read by one lookup (`runs`); slots q and q + 1 of a code label
+    descend exactly when c_{q+1} > c_q (`pairs`); and each boundary
+    between two units compares two target positions, each read through a
+    (lookup, buffer row) pair (`mixed`).  A table unit's lookups are
+    `columns[lab, slot]`, the target of a slot at each unit row.  A code
+    label's slot read at such a boundary has a target row below the
+    `width` draw rows (`height` rows in all), which `descents` decodes
+    first (`decodes`) and reads with no lookup.  Enumeration feeds
+    `descents` mixed-radix unit-row indices, sampling feeds it draws.
     """
 
     def __init__(self, d1: Deck, d2: Deck, max_mult: int):
@@ -210,8 +214,8 @@ class _LabelTables:
             else:
                 self.units.append([lab])
         # Each unit's first buffer row, and the runs of consecutive units
-        # that draw from one distribution: a table of one size, or random
-        # keys of one width.
+        # that draw from one distribution: a table of one size, or codes
+        # of one label size.
         self.first_row: dict[str, int] = {}
         self.width = 0
         self.draw_groups: list[tuple[int, bool, int, list[list[str]]]] = []
@@ -248,7 +252,7 @@ class _LabelTables:
             elif ci in self.tables:
                 inner[min(ci, cj, key=rank.get)].append((ci, qi, cj, qj))
             else:
-                self.pairs.append((row + qi, row + qj))
+                self.pairs.append((row + qj, row + qi))
         self.runs: list[tuple[int, np.ndarray]] = []
         for unit in self.units:
             if unit[0] in self.tables:
@@ -258,18 +262,35 @@ class _LabelTables:
                     self.runs.append((self.first_row[unit[0]], des))
         unit_of = {lab: unit for unit in self.units for lab in unit}
         read_slots = dict.fromkeys(
-            (c, q)
-            for bound in crossing
-            for c, q in (bound[:2], bound[2:])
-            if c in self.tables
+            (c, q) for bound in crossing for c, q in (bound[:2], bound[2:])
         )
-        self.columns = {(c, q): self._spread(unit_of[c], c, q) for c, q in read_slots}
+        self.columns = {
+            (c, q): self._spread(unit_of[c], c, q)
+            for c, q in read_slots
+            if c in self.tables
+        }
+        # Per code label: first code row, targets, ascending read slots and
+        # their first target row.
+        self.decodes: list[tuple[int, np.ndarray, list[int], int]] = []
+        target_row: dict[tuple[str, int], int] = {}
+        self.height = self.width
+        for lab in self.labels:
+            if lab in self.tables:
+                continue
+            slots = sorted(q for c, q in read_slots if c == lab)
+            if slots:
+                tgt = self.targets[lab]
+                self.decodes.append((self.first_row[lab], tgt, slots, self.height))
+                for q in slots:
+                    target_row[lab, q] = self.height
+                    self.height += 1
 
-        def read(lab: str, slot: int) -> tuple[np.ndarray, int]:
-            """The lookup and buffer row giving the target of `slot`."""
+        def read(lab: str, slot: int) -> tuple[np.ndarray | None, int]:
+            """The lookup (None: the row holds it) and buffer row giving the
+            target of `slot`."""
             if lab in self.tables:
                 return self.columns[lab, slot], self.first_row[lab]
-            return self.targets[lab], self.first_row[lab] + slot
+            return None, target_row[lab, slot]
 
         self.mixed = [(*read(ci, qi), *read(cj, qj)) for ci, qi, cj, qj in crossing]
 
@@ -349,16 +370,22 @@ class _LabelTables:
     def descents(self, rows: np.ndarray | list) -> np.ndarray:
         """Descent counts of the members whose buffer row `r` is `rows[r]`.
 
-        `np.take` gathers through int16 row indices about twice as fast
-        as fancy indexing, which first converts them to intp.
+        Target rows are decoded into `rows` first.  `np.take` gathers
+        through int16 row indices about twice as fast as fancy indexing,
+        which first converts them to intp.
         """
+        for row, tgt, slots, at in self.decodes:
+            codes = rows[row : row + len(tgt)]
+            _insertion_targets(codes, slots, tgt, rows[at : at + len(slots)])
         des = np.zeros(len(rows[0]), dtype=np.int16)
         for r, tab in self.runs:
             des += np.take(tab, rows[r])
         for r, s in self.pairs:
             des += rows[r] > rows[s]
         for left, i, right, j in self.mixed:
-            des += np.take(left, rows[i]) > np.take(right, rows[j])
+            a = rows[i] if left is None else np.take(left, rows[i])
+            b = rows[j] if right is None else np.take(right, rows[j])
+            des += a > b
         return des
 
     def sample_counts(
@@ -368,20 +395,20 @@ class _LabelTables:
 
         Block `i` draws `sizes[i]` members from the `i`-th generator, in
         calls of at most `_DRAW_CELLS // width` members (one random value
-        per buffer cell), units in `self.units` order: a table unit draws
-        its unit-row index, a label without a table an argsort of random
-        keys, one index per source slot.  Consecutive units drawn from the
-        same distribution share one generator call, which yields the same
-        values, and leaves the generator in the same state, as one call
-        per unit.  Members of successive blocks fill the columns of
-        one `(width, columns)` buffer, which `descents` scores a batch of
-        about `_SCORE_CELLS` cells, and at most `_SCORE_COLUMNS` columns,
-        at a time.
+        per draw row), units in `self.units` order: a table unit draws
+        its unit-row index, a code label one code per source slot.
+        Consecutive units drawn from the same distribution share one
+        generator call, which yields the same values, and leaves the
+        generator in the same state, as one call per unit.  Members of
+        successive blocks fill the columns of one `(height, columns)`
+        buffer, which `descents` scores a batch of about `_SCORE_CELLS`
+        draw cells (target rows not counted), and at most
+        `_SCORE_COLUMNS` columns, at a time.
         """
         counts = np.zeros(self.n, dtype=np.int64)
         batch = min(-(-_SCORE_CELLS // self.width), _SCORE_COLUMNS)
         per_call = max(1, _DRAW_CELLS // self.width)
-        buf = np.empty((self.width, batch + per_call), dtype=np.int16)
+        buf = np.empty((self.height, batch + per_call), dtype=np.int16)
         fill = 0
         for size, gen in zip(sizes, generators, strict=True):
             for start in range(0, size, per_call):
@@ -397,17 +424,49 @@ class _LabelTables:
         return counts
 
     def _draw(self, gen: np.random.Generator, out: np.ndarray) -> None:
-        """Draw one member into each column of `out`: one generator call
-        per group of `self.draw_groups`."""
+        """Draw one member into the draw rows of each column of `out`: one
+        generator call per group of `self.draw_groups`.  Code c_q is
+        floor(U * (q + 1)) for a uniform float U < 1, which never rounds
+        up to q + 1."""
         b = out.shape[1]
         for size, is_table, row, units in self.draw_groups:
             if is_table:
                 draws = gen.integers(0, size, size=(len(units), b))
                 out[row : row + len(units)] = draws
             else:
-                for perm in np.argsort(gen.random((len(units), b, size)), axis=2):
-                    out[row : row + size] = perm.T
-                    row += size
+                codes = gen.random((len(units), size, b))
+                codes *= np.arange(1.0, size + 1)[:, None]
+                out[row : row + len(units) * size] = codes.reshape(-1, b)
+
+
+def _insertion_targets(
+    codes: np.ndarray, slots: list[int], targets: np.ndarray, out: np.ndarray
+) -> None:
+    """Write into `out` the targets of the ascending `slots` of a code
+    label with sorted `targets`, in each column of its code rows `codes`.
+
+    Inserted in order, slot q lands at rank q - c_q among the first
+    q + 1, and each later slot k with k - c_k <= rank moves it up one.
+    With t = k - rank before slot k, that test reads t <= c_k, t grows
+    by one when it fails, and rank = m - t at the end.  t stays in 1..m,
+    so the scratch is int8 up to 127 cards.  Code rows are cast by
+    assignment and the comparison added as int8 bytes, since numpy's
+    mixed-type loops are slower.
+    """
+    m, b = codes.shape
+    dtype = np.int8 if m <= 127 else np.int16
+    t = np.empty((len(slots), b), dtype=dtype)
+    t[...] = codes[slots]
+    t += 1
+    code = np.empty(b, dtype=dtype)
+    grows = np.empty(t.shape, dtype=bool)
+    steps = grows.view(np.int8)
+    for k in range(slots[0] + 1, m):
+        p = bisect_left(slots, k)
+        code[...] = codes[k]
+        np.greater(t[:p], code, out=grows[:p])
+        t[:p] += steps[:p]
+    out[...] = np.take(targets, m - t)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +792,9 @@ def mc_descent_histogram(
             stored, completed = cached
             counts = np.array(stored, dtype=np.int64)
             first_block = completed
-    tables = _LabelTables(d1, d2, _SAMPLE_TABLE_MAX_MULT)
+    # A full cache hit draws nothing, so it builds no tables.
+    if first_block < blocks:
+        tables = _LabelTables(d1, d2, _SAMPLE_TABLE_MAX_MULT)
     step = blocks if cache_dir is None else _CHECKPOINT_BLOCKS
     for start in range(first_block, blocks, step):
         stop = min(start + step, blocks)

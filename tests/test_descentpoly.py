@@ -15,6 +15,7 @@ from riffmix import (
     SignatureMismatchError,
     deck_text,
     descent_distribution_under_a_shuffle,
+    descent_moments,
     descent_polynomial_family,
     digit_transition_counts,
     enumerate_arrangements,
@@ -30,6 +31,7 @@ from riffmix import (
     shuffle_weights,
 )
 from riffmix import cache as cache_mod
+from riffmix import descentpoly
 from riffmix.descentpoly import (
     _BLOCK_SAMPLES,
     _CHECKPOINT_BLOCKS,
@@ -394,10 +396,10 @@ def test_histogram_counts_sum_and_determinism():
 
 # Reference counts of the sampler's draw order.  Cached histograms are
 # keyed by `SAMPLER_VERSION`, so a change to the draw order must fail here
-# until that version is bumped.  Cases: table path, argsort path, mixed
+# until that version is bumped.  Cases: table path, code-label path, mixed
 # (two seeds), 140,001 samples spanning three `_BLOCK_SAMPLES` blocks, the
 # last one partial, cached (so stored when its one block is done), and an
-# argsort label whose source runs another label splits, on both sides of
+# code label whose source runs another label splits, on both sides of
 # mixed boundaries.
 _TABLE_PAIR = ("1^4,2^4,3^3,4^4,5^2", "4,3,4^2,1,5^2,2^2,1,3,2^2,4,3,1^2")
 _MIXED_PAIR = ("1^8,2^3,3", "1^4,2,1,2,3,2,1^3")
@@ -410,12 +412,12 @@ _PINNED = [
     (
         ("1^8,2^8", "1,2^2,1,2,1,2,1,2^2,1,2,1,2,1^2"),
         dict(samples=20000, seed=32),
-        (0, 0, 0, 1, 49, 616, 2768, 5992, 6280, 3336, 853, 100, 5, 0, 0, 0),
+        (0, 0, 0, 2, 57, 606, 2657, 6173, 6207, 3319, 872, 103, 4, 0, 0, 0),
     ),
     (
         _MIXED_PAIR,
         dict(samples=20000, seed=33),
-        (0, 0, 7, 488, 3736, 7983, 5994, 1655, 136, 1, 0, 0),
+        (0, 0, 8, 446, 3745, 8008, 6027, 1618, 147, 1, 0, 0),
     ),
     (
         ("1^3,2^3,3^2", "2^2,3,1,2,3,1^2"),
@@ -430,12 +432,12 @@ _PINNED = [
     (
         _MIXED_PAIR,
         dict(samples=20000, seed=36),
-        (0, 0, 4, 466, 3694, 8089, 5938, 1666, 141, 2, 0, 0),
+        (0, 0, 8, 447, 3741, 8042, 5969, 1664, 128, 1, 0, 0),
     ),
     (
         ("1^3,2,1^5,2", "2,1^4,2,1^4"),
         dict(samples=20000, seed=37),
-        (0, 0, 105, 1466, 6444, 7884, 3624, 456, 21, 0),
+        (0, 0, 106, 1395, 6412, 7869, 3765, 430, 23, 0),
     ),
 ]
 
@@ -482,13 +484,19 @@ def test_histogram_tracks_exact_distribution():
 
 # Table units: a three-label unit of a block source (13,824 rows), one
 # four-label unit (144 rows) of a source that interleaves its labels, and
-# units of small labels on both sides of an 8-card argsort label.
+# units of small labels on both sides of an 8-card code label.  Code
+# labels read at their last slot, their first slot, both ends, and at
+# interleaved slots plus a run.
 @pytest.mark.parametrize(
     "source, target_seed",
     [
         ("1^4,2^4,3^4", 61),
         ("2,1^2,3,2,4,1,3,4,2", 65),
         ("1,2,1,3^3,2,4,3^2,1,3,4^2,3^2", 63),
+        ("1^9,2^2", 66),
+        ("2^2,1^9", 67),
+        ("2,1^8,2", 68),
+        ("(1,2)^4,1^4", 69),
     ],
 )
 def test_unit_histograms_track_exact_distribution(source, target_seed):
@@ -515,6 +523,8 @@ def test_unit_histograms_track_exact_distribution(source, target_seed):
         (",".join(f"{v}^2" for v in range(1, 27)), [15, 11]),
         ("1^2,2^3,3^8,4^2,5^3,6^7,7", [2, 1, 2, 2]),
         ("3,1,2^2,3,1,4^3,2^2,3,4,5^5,4", [3, 2]),
+        # A 130-card code label, whose ranks pass 127.
+        ("2,1^60,3,1^70,2,3,4^6", [1, 1, 2]),
     ],
 )
 def test_units_decode_to_the_product_of_their_label_tables(source, units):
@@ -531,6 +541,18 @@ def test_units_decode_to_the_product_of_their_label_tables(source, units):
         size = len(tables.tables[lab])
         return index // math.prod(len(tables.tables[x]) for x in later) % size
 
+    def inserted(lab, codes):
+        """`lab`'s target at each slot in each column of its code rows,
+        by inserting slot q at place q - c_q among the first q + 1."""
+        out = np.empty(codes.shape, dtype=np.int64)
+        for col, column in enumerate(codes.T.tolist()):
+            order = []
+            for q, c in enumerate(column):
+                assert 0 <= c <= q
+                order.insert(q - c, q)
+            out[order, col] = tables.targets[lab]
+        return out
+
     slot = [d1.cards[:i].count(c) for i, c in enumerate(d1.cards)]
     gen = substream(64, 0)
     for unit in tables.units:
@@ -546,20 +568,42 @@ def test_units_decode_to_the_product_of_their_label_tables(source, units):
         )
         # Every row of this unit, with the other units drawn at random,
         # must score the member its digits decode to.
-        buf = np.empty((tables.width, rows), dtype=np.int16)
+        buf = np.empty((tables.height, rows), dtype=np.int16)
         tables._draw(gen, buf)
         buf[tables.first_row[unit[0]]] = u
+        decoded = {
+            c: inserted(c, buf[r : r + len(tables.targets[c])])
+            for c, r in tables.first_row.items()
+            if c not in tables.tables
+        }
         images = np.empty((d1.n, rows), dtype=np.int64)
         for i, c in enumerate(d1.cards):
             r = tables.first_row[c]
             if c in tables.tables:
                 images[i] = tables.tables[c][digit(c, buf[r]), slot[i]]
             else:
-                images[i] = tables.targets[c][buf[r + slot[i]]]
+                images[i] = decoded[c][slot[i]]
         # Each member maps the source positions onto the target positions.
         assert (np.sort(images, axis=0) == np.arange(d1.n)[:, None]).all()
         want = (images[:-1] > images[1:]).sum(axis=0)
         np.testing.assert_array_equal(tables.descents(buf), want)
+
+
+def test_histogram_of_a_label_above_127_cards_tracks_exact_moments():
+    # The 250-card label is read at 19 interleaved slots, each of whose
+    # ranks passes 127 about half the time, so the sampler runs end to end
+    # on an int16 decode.  The exact decode check above is the sharper
+    # test of that dtype: moments barely move when ranks wrap.
+    d1 = parse_deck(",".join(["1^25,2"] * 10))
+    d2 = sample_uniform_rearrangement(d1, 70)
+    moments = descent_moments(d1, d2)
+    samples = 20_000
+    hist = mc_descent_histogram(d1, d2, samples, seed=71)
+    degrees = np.arange(d1.n)
+    mean = degrees @ hist.counts / samples
+    variance = (degrees - mean) ** 2 @ hist.counts / samples
+    assert abs(mean - moments.mean) < 5 * moments.sigma / math.sqrt(samples)
+    assert variance == pytest.approx(float(moments.variance), rel=0.1)
 
 
 def test_histogram_big_label_path():
@@ -616,6 +660,18 @@ def test_histogram_cache_roundtrip(tmp_path):
     other = mc_descent_histogram(d1, d2, 3000, seed=11, cache_dir=tmp_path)
     assert other.counts != first.counts
     assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_full_cache_hit_builds_no_tables(tmp_path, monkeypatch):
+    d1, d2 = map(parse_deck, _MIXED_PAIR)
+    first = mc_descent_histogram(d1, d2, 3000, seed=10, cache_dir=tmp_path)
+
+    def refuse(*args):
+        raise AssertionError("a full cache hit built label tables")
+
+    monkeypatch.setattr(descentpoly, "_LabelTables", refuse)
+    again = mc_descent_histogram(d1, d2, 3000, seed=10, cache_dir=tmp_path)
+    assert again.counts == first.counts
 
 
 def test_histogram_cache_store_load_validation(tmp_path):

@@ -286,6 +286,16 @@ def cmd_tvd(args: argparse.Namespace) -> int:
             "estimates",
             file=sys.stderr,
         )
+    if any(est.uninformed for est in estimates):
+        counts = ", ".join(
+            f"{est.uninformed} at {k} shuffles" for k, est in zip(shuffles, estimates)
+        )
+        print(
+            f"mc-hist: distinct sampled arrangements (of k={args.k} draws) "
+            "with no estimated coefficient below degree a = 2^shuffles, whose "
+            f"term is 1 by construction however small the true term: {counts}",
+            file=sys.stderr,
+        )
     return 0
 
 

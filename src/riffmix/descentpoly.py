@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cache as _cache
+from .codes import draw_codes, radix_groups
 from .deck import (
     Deck,
     _capped_cardinality,
@@ -68,7 +69,7 @@ _CHECKPOINT_BLOCKS = 4
 _COUNT_MAX = 2**63 - 1
 # Version of the draw order of `mc_descent_histogram`, part of its cache
 # key.  Bump it with any change that changes sampled counts.
-SAMPLER_VERSION = 4
+SAMPLER_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +171,22 @@ class _LabelTables:
     unit owning a fixed range of them from `first_row[lab]` on (shared by
     the labels of a unit).  A table unit has one row, the index of its
     unit row.  A label without a table (a code label) has one row per
-    source slot q, its insertion code c_q, uniform on 0..q: the number of
-    earlier slots whose target is larger.  Codes and bijections match one
-    to one.  `descents` scores such columns: the descents between two
-    cards of one table unit are summed in advance into the unit's descent
-    table, read by one lookup (`runs`); slots q and q + 1 of a code label
-    descend exactly when c_{q+1} > c_q (`pairs`); and each boundary
-    between two units compares two target positions, each read through a
-    (lookup, buffer row) pair (`mixed`).  A table unit's lookups are
-    `columns[lab, slot]`, the target of a slot at each unit row.  A code
-    label's slot read at such a boundary has a target row below the
-    `width` draw rows (`height` rows in all), which `descents` decodes
-    first (`decodes`) and reads with no lookup.  Enumeration feeds
-    `descents` mixed-radix unit-row indices, sampling feeds it draws.
+    source slot q, its insertion code c_q (`codes`).  A code label read
+    at boundaries nearer its first slot than its last is coded from its
+    last slot (`flipped`): slots and `targets` both run in reverse, which
+    keeps each descent inside it.  `descents` scores such columns: the
+    descents between two cards of one table unit are summed in advance
+    into the unit's descent table, read by one lookup (`runs`); a run of
+    adjacent code slots holds code rows lo..hi, rows k and k + 1
+    descending exactly when c_{k+1} > c_k (`code_runs`); and each
+    boundary between two units compares two target positions, each read
+    through a (lookup, buffer row) pair (`mixed`).  A table unit's
+    lookups are `columns[lab, slot]`, the target of a slot at each unit
+    row.  A code label's slot read at such a boundary has a target row
+    below the `width` draw rows (`height` rows in all), which `descents`
+    decodes first (`decodes`) and reads with no lookup.  Enumeration
+    feeds `descents` mixed-radix unit-row indices, sampling feeds it
+    draws.
     """
 
     def __init__(self, d1: Deck, d2: Deck, max_mult: int):
@@ -215,9 +219,9 @@ class _LabelTables:
                 self.units.append([lab])
         # Each unit's first buffer row, and the runs of consecutive units
         # that draw from one distribution: a table of one size, or codes
-        # of one label size.
+        # of one label size; `values` counts the random values per member.
         self.first_row: dict[str, int] = {}
-        self.width = 0
+        self.width = self.values = 0
         self.draw_groups: list[tuple[int, bool, int, list[list[str]]]] = []
         for unit in self.units:
             is_table = unit[0] in self.tables
@@ -229,19 +233,37 @@ class _LabelTables:
             for lab in unit:
                 self.first_row[lab] = self.width
             self.width += 1 if is_table else size
+            self.values += 1 if is_table else len(radix_groups(size))
 
         slot_of = {}
         seen: dict[str, int] = {}
         for i, c in enumerate(cards):
             slot_of[i] = seen.get(c, 0)
             seen[c] = slot_of[i] + 1
+        # `_insertion_targets` loops from the first slot read to the last.
+        reads: dict[str, list[int]] = {}
+        for i in range(self.n - 1):
+            if self.first_row[cards[i]] != self.first_row[cards[i + 1]]:
+                for j in (i, i + 1):
+                    reads.setdefault(cards[j], []).append(slot_of[j])
+        self.flipped = {
+            lab
+            for lab, slots in reads.items()
+            if lab not in self.tables
+            and min(slots) + max(slots) < len(self.targets[lab]) - 1
+        }
+        for lab in self.flipped:
+            self.targets[lab] = self.targets[lab][::-1].copy()
+        for i, c in enumerate(cards):
+            if c in self.flipped:
+                slot_of[i] = len(self.targets[c]) - 1 - slot_of[i]
         # Boundaries inside a table unit, each filed under the earlier of
         # its two labels in unit order, and the boundaries between units.
         inner: dict[str, list[tuple[str, int, str, int]]] = {
             lab: [] for lab in self.tables
         }
         crossing: list[tuple[str, int, str, int]] = []
-        self.pairs: list[tuple[int, int]] = []
+        self.code_runs: list[tuple[int, int]] = []
         rank = {lab: e for e, lab in enumerate(self.labels)}
         for i in range(self.n - 1):
             ci, cj = cards[i], cards[i + 1]
@@ -252,7 +274,12 @@ class _LabelTables:
             elif ci in self.tables:
                 inner[min(ci, cj, key=rank.get)].append((ci, qi, cj, qj))
             else:
-                self.pairs.append((row + qj, row + qi))
+                lo, hi = row + min(qi, qj), row + max(qi, qj)
+                if i and cards[i - 1] == ci:
+                    # The run of pair i - 1 goes on, one code row further.
+                    run = self.code_runs.pop()
+                    lo, hi = min(lo, run[0]), max(hi, run[1])
+                self.code_runs.append((lo, hi))
         self.runs: list[tuple[int, np.ndarray]] = []
         for unit in self.units:
             if unit[0] in self.tables:
@@ -380,8 +407,12 @@ class _LabelTables:
         des = np.zeros(len(rows[0]), dtype=np.int16)
         for r, tab in self.runs:
             des += np.take(tab, rows[r])
-        for r, s in self.pairs:
-            des += rows[r] > rows[s]
+        for lo, hi in self.code_runs:
+            if hi - lo == 1:
+                des += rows[hi] > rows[lo]
+            else:
+                ahead = rows[lo + 1 : hi + 1] > rows[lo:hi]
+                des += ahead.sum(axis=0, dtype=np.int16)
         for left, i, right, j in self.mixed:
             a = rows[i] if left is None else np.take(left, rows[i])
             b = rows[j] if right is None else np.take(right, rows[j])
@@ -394,49 +425,47 @@ class _LabelTables:
         """Descent histogram of uniform members drawn by a run of blocks.
 
         Block `i` draws `sizes[i]` members from the `i`-th generator, in
-        calls of at most `_DRAW_CELLS // width` members (one random value
-        per draw row), units in `self.units` order: a table unit draws
-        its unit-row index, a code label one code per source slot.
-        Consecutive units drawn from the same distribution share one
-        generator call, which yields the same values, and leaves the
-        generator in the same state, as one call per unit.  Members of
-        successive blocks fill the columns of one `(height, columns)`
-        buffer, which `descents` scores a batch of about `_SCORE_CELLS`
-        draw cells (target rows not counted), and at most
-        `_SCORE_COLUMNS` columns, at a time.
+        calls of at most `_DRAW_CELLS // values` members, units in
+        `self.units` order (see `_draw`).  Members of successive blocks
+        fill the columns of one `(height, columns)` buffer, which
+        `descents` scores whenever the next call would overflow it.  The
+        buffer holds as many whole calls as fit in about `_SCORE_CELLS`
+        draw cells (target rows not counted), at most `_SCORE_COLUMNS`
+        columns, plus `_DRAW_CELLS // width` columns: its width at one
+        random value per draw row.
         """
         counts = np.zeros(self.n, dtype=np.int64)
-        batch = min(-(-_SCORE_CELLS // self.width), _SCORE_COLUMNS)
-        per_call = max(1, _DRAW_CELLS // self.width)
-        buf = np.empty((self.height, batch + per_call), dtype=np.int16)
+        columns = min(-(-_SCORE_CELLS // self.width), _SCORE_COLUMNS)
+        columns += max(1, _DRAW_CELLS // self.width)
+        per_call = max(1, _DRAW_CELLS // self.values)
+        columns = max(1, columns // per_call) * per_call
+        buf = np.empty((self.height, columns), dtype=np.int16)
         fill = 0
         for size, gen in zip(sizes, generators, strict=True):
             for start in range(0, size, per_call):
                 b = min(per_call, size - start)
-                self._draw(gen, buf[:, fill : fill + b])
-                fill += b
-                if fill >= batch:
+                if fill + b > columns:
                     des = self.descents(buf[:, :fill])
                     counts += np.bincount(des, minlength=self.n)
                     fill = 0
+                self._draw(gen, buf[:, fill : fill + b])
+                fill += b
         if fill:
             counts += np.bincount(self.descents(buf[:, :fill]), minlength=self.n)
         return counts
 
     def _draw(self, gen: np.random.Generator, out: np.ndarray) -> None:
         """Draw one member into the draw rows of each column of `out`: one
-        generator call per group of `self.draw_groups`.  Code c_q is
-        floor(U * (q + 1)) for a uniform float U < 1, which never rounds
-        up to q + 1."""
+        generator call per table group of `self.draw_groups`, and one per
+        radix group of each code group (`draw_codes`)."""
         b = out.shape[1]
         for size, is_table, row, units in self.draw_groups:
             if is_table:
                 draws = gen.integers(0, size, size=(len(units), b))
                 out[row : row + len(units)] = draws
             else:
-                codes = gen.random((len(units), size, b))
-                codes *= np.arange(1.0, size + 1)[:, None]
-                out[row : row + len(units) * size] = codes.reshape(-1, b)
+                draw_codes(gen, out[row : row + len(units) * size].reshape(-1, size, b))
+
 
 
 def _insertion_targets(

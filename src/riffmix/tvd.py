@@ -238,7 +238,10 @@ class TvdEstimate:
     `normal_error_bound_applies`.  `unfitted`, set by the histogram
     backend when it extrapolates over an automatic window, counts the
     distinct sampled arrangements whose histogram was too sparse for the
-    tail fit and kept its unbiased, unpatched estimates.
+    tail fit and kept its unbiased, unpatched estimates.  `uninformed`,
+    set by the histogram backend, counts the distinct sampled
+    arrangements whose estimated coefficients are all 0 below degree `a`:
+    their term is 1 by construction, whatever their true probability.
     """
 
     scenario: str
@@ -251,6 +254,7 @@ class TvdEstimate:
     hist_samples: int | None = None
     unproven: int | None = None
     unfitted: int | None = None
+    uninformed: int | None = None
 
 
 def _alpha_bounds(k: int) -> tuple[tuple[float, float, float], ...]:
@@ -383,7 +387,8 @@ def mc_tvd_curve(
     - "mc-histogram": sampled histograms of size `hist_samples`, with an
       optional log-scale tail fit when `extrapolate` is set; with an
       automatic fit window, each estimate's `unfitted` counts the
-      distinct arrangements too sparse to fit;
+      distinct arrangements too sparse to fit, and its `uninformed` the
+      distinct arrangements with no estimated coefficient below its `a`;
     - "normal-approx": moment-matched normal curves; each estimate's
       `unproven` counts the distinct arrangements outside the curve's
       proven error regime.
@@ -399,11 +404,13 @@ def mc_tvd_curve(
         raise ValueError("sample count must be positive")
     unproven: list[tuple[str, ...]] | None = None
     unfitted: list[tuple[str, ...]] | None = None
+    uninformed: list[int] | None = None
     if backend == "exact-oracle":
         method = "mc-exact-backend"
         coefficients = partial(_exact_coefficients, transition_cap=transition_cap)
     elif backend == "mc-histogram":
         method = backend
+        uninformed = [0] * len(packets)
         if extrapolate and window is None:
             unfitted = []
         coefficients = partial(
@@ -436,9 +443,11 @@ def mc_tvd_curve(
         counterpart = sample_uniform_rearrangement(s.anchor, gen)
         terms = memo.get(counterpart.cards)
         if terms is None:
-            terms = memo[counterpart.cards] = _terms(
-                coefficients(s, counterpart), weighted, count
-            )
+            coeffs = coefficients(s, counterpart)
+            terms = memo[counterpart.cards] = _terms(coeffs, weighted, count)
+            if uninformed is not None:
+                for e, a in enumerate(packets):
+                    uninformed[e] += not any(coeffs[:a])
         draws.append(terms)
     return [
         TvdEstimate(
@@ -452,6 +461,7 @@ def mc_tvd_curve(
             hist_samples=hist_samples if backend == "mc-histogram" else None,
             unproven=None if unproven is None else len(unproven),
             unfitted=None if unfitted is None else len(unfitted),
+            uninformed=None if uninformed is None else uninformed[e],
         )
-        for a, column in zip(packets, zip(*draws))
+        for e, (a, column) in enumerate(zip(packets, zip(*draws)))
     ]

@@ -175,6 +175,29 @@ class TestTvd:
         assert len(lines) == 1
         assert lines[0].startswith("mc-hist: 29 distinct sampled arrangements")
 
+    def test_terms_no_histogram_sample_informs_are_flagged(self, capsys):
+        # At two packets only degrees 0 and 1 count, and 1e5 draws from
+        # 8!^2 members hold none: every term reads 1, where the exact
+        # distance is 0.433.  Stdout is unchanged; stderr says so.
+        argv = (
+            "tvd", "--deck", "1^8,2^8", "--kind", "fixed-source",
+            "--method", "mc-hist", "--shuffles", "1..2", "--hist-samples",
+            "100000", "--k", "5",
+        )
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        rows = [ResultRow.from_csv(line) for line in csv_body(out)[1]]
+        assert rows[0].value == 1.0 and rows[1].value < 1.0
+        assert err == (
+            "mc-hist: distinct sampled arrangements (of k=5 draws) with no "
+            "estimated coefficient below degree a = 2^shuffles, whose term is "
+            "1 by construction however small the true term: 5 at 1 shuffles, "
+            "0 at 2 shuffles\n"
+        )
+        # Informed terms print no line.
+        code, _, err = run(capsys, *argv[:8], "2", *argv[9:])
+        assert code == 0 and err == ""
+
     def test_explicit_fit_window_too_short_exits_3(self, capsys):
         code, out, err = run(capsys, *self.SPARSE_FIT, "--window", "4..7")
         assert code == 3

@@ -35,7 +35,10 @@ from riffmix import descentpoly
 from riffmix.descentpoly import (
     _BLOCK_SAMPLES,
     _CHECKPOINT_BLOCKS,
+    _DRAW_CELLS,
     _SAMPLE_TABLE_MAX_MULT,
+    _SCORE_CELLS,
+    _SCORE_COLUMNS,
     _TABLE_MAX_MULT,
     SAMPLER_VERSION,
     _counts_plain,
@@ -412,12 +415,12 @@ _PINNED = [
     (
         ("1^8,2^8", "1,2^2,1,2,1,2,1,2^2,1,2,1,2,1^2"),
         dict(samples=20000, seed=32),
-        (0, 0, 0, 2, 57, 606, 2657, 6173, 6207, 3319, 872, 103, 4, 0, 0, 0),
+        (0, 0, 0, 1, 50, 623, 2684, 5969, 6388, 3340, 858, 85, 2, 0, 0, 0),
     ),
     (
         _MIXED_PAIR,
         dict(samples=20000, seed=33),
-        (0, 0, 8, 446, 3745, 8008, 6027, 1618, 147, 1, 0, 0),
+        (0, 0, 11, 463, 3677, 8139, 5945, 1650, 114, 1, 0, 0),
     ),
     (
         ("1^3,2^3,3^2", "2^2,3,1,2,3,1^2"),
@@ -432,12 +435,12 @@ _PINNED = [
     (
         _MIXED_PAIR,
         dict(samples=20000, seed=36),
-        (0, 0, 8, 447, 3741, 8042, 5969, 1664, 128, 1, 0, 0),
+        (0, 0, 14, 484, 3769, 8069, 5943, 1596, 123, 2, 0, 0),
     ),
     (
         ("1^3,2,1^5,2", "2,1^4,2,1^4"),
         dict(samples=20000, seed=37),
-        (0, 0, 106, 1395, 6412, 7869, 3765, 430, 23, 0),
+        (0, 0, 123, 1459, 6390, 7997, 3577, 443, 11, 0),
     ),
 ]
 
@@ -485,8 +488,9 @@ def test_histogram_tracks_exact_distribution():
 # Table units: a three-label unit of a block source (13,824 rows), one
 # four-label unit (144 rows) of a source that interleaves its labels, and
 # units of small labels on both sides of an 8-card code label.  Code
-# labels read at their last slot, their first slot, both ends, and at
-# interleaved slots plus a run.
+# labels read at their last slot, their first slot (flipped), both ends,
+# interleaved slots plus a run, two interior slots (flipped), and between
+# runs of single pairs.
 @pytest.mark.parametrize(
     "source, target_seed",
     [
@@ -497,6 +501,8 @@ def test_histogram_tracks_exact_distribution():
         ("2^2,1^9", 67),
         ("2,1^8,2", 68),
         ("(1,2)^4,1^4", 69),
+        ("1^4,2^2,1^5", 73),
+        ("1^2,2,1^2,2,1^2,2,1^2", 74),
     ],
 )
 def test_unit_histograms_track_exact_distribution(source, target_seed):
@@ -525,6 +531,8 @@ def test_unit_histograms_track_exact_distribution(source, target_seed):
         ("3,1,2^2,3,1,4^3,2^2,3,4,5^5,4", [3, 2]),
         # A 130-card code label, whose ranks pass 127.
         ("2,1^60,3,1^70,2,3,4^6", [1, 1, 2]),
+        # A 12-card code label read at slots 0, 9 and 10, so flipped.
+        ("2^3,1^10,3,1^2", [1, 1, 1]),
     ],
 )
 def test_units_decode_to_the_product_of_their_label_tables(source, units):
@@ -543,15 +551,18 @@ def test_units_decode_to_the_product_of_their_label_tables(source, units):
 
     def inserted(lab, codes):
         """`lab`'s target at each slot in each column of its code rows,
-        by inserting slot q at place q - c_q among the first q + 1."""
+        by inserting slot q at place q - c_q among the first q + 1, the
+        slots and sorted targets both taken in reverse when the label is
+        flipped."""
         out = np.empty(codes.shape, dtype=np.int64)
+        targets = np.sort(tables.targets[lab])
         for col, column in enumerate(codes.T.tolist()):
             order = []
             for q, c in enumerate(column):
                 assert 0 <= c <= q
                 order.insert(q - c, q)
-            out[order, col] = tables.targets[lab]
-        return out
+            out[order, col] = targets[::-1] if lab in tables.flipped else targets
+        return out[::-1] if lab in tables.flipped else out
 
     slot = [d1.cards[:i].count(c) for i, c in enumerate(d1.cards)]
     gen = substream(64, 0)
@@ -587,6 +598,118 @@ def test_units_decode_to_the_product_of_their_label_tables(source, units):
         assert (np.sort(images, axis=0) == np.arange(d1.n)[:, None]).all()
         want = (images[:-1] > images[1:]).sum(axis=0)
         np.testing.assert_array_equal(tables.descents(buf), want)
+
+
+# (source, flipped code labels, code runs as first and last code rows)
+@pytest.mark.parametrize(
+    "source, flipped, code_runs",
+    [
+        # RedBlack1: B is read at its slot 0, so it is flipped.
+        ("R^26,B^26", {"B"}, [(0, 25), (26, 51)]),
+        ("2^2,1^9", {"1"}, [(1, 9)]),
+        ("1^9,2^2", set(), [(0, 8)]),
+        # Read at slots 0 and 8: a tie keeps the label unflipped.
+        ("2,1^8,2", set(), [(1, 8)]),
+        # Read at slots 3 and 4 of 9.
+        ("1^4,2^2,1^5", {"1"}, [(5, 8), (0, 4)]),
+        ("1^2,2,1^2,2,1^2,2,1^2", set(), [(0, 1), (2, 3), (4, 5), (6, 7)]),
+        ("2^3,1^10,3,1^2", {"1"}, [(3, 12), (1, 2)]),
+    ],
+)
+def test_code_labels_read_nearer_their_first_slot_are_flipped(
+    source, flipped, code_runs
+):
+    d1 = parse_deck(source)
+    d2 = sample_uniform_rearrangement(d1, 75)
+    tables = _LabelTables(d1, d2, _SAMPLE_TABLE_MAX_MULT)
+    assert tables.flipped == flipped
+    assert tables.code_runs == code_runs
+    for lab in tables.labels:
+        if lab not in tables.tables:
+            step = -1 if lab in flipped else 1
+            assert (np.diff(tables.targets[lab]) * step > 0).all()
+    if source == "R^26,B^26":
+        # Both labels are read at their last coded slot: no decode steps.
+        assert [slots for _, _, slots, _ in tables.decodes] == [[25], [25]]
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        (*_MIXED_PAIR,),
+        ("1^3,2,1^5,2", "2,1^4,2,1^4"),
+        ("2^2,1^8", "1^3,2,1^5,2"),
+        ("1^4,2,1^4", "2,1^8"),
+    ],
+)
+def test_every_draw_of_small_code_labels_scores_the_exact_polynomial(
+    source, target
+):
+    # `_draw` fed every combination of the values its generator calls can
+    # return (each code label here is one radix group) draws each member
+    # once, so the scored histogram is the exact polynomial.
+    d1, d2 = parse_deck(source), parse_deck(target)
+    tables = _LabelTables(d1, d2, _SAMPLE_TABLE_MAX_MULT)
+    calls = []
+
+    class Replay:
+        """A generator whose `integers` calls return `draws` in turn, and
+        record their bounds and shapes when there are none."""
+
+        def __init__(self, draws=()):
+            self.draws = iter(draws)
+
+        def integers(self, low, high, size, dtype=np.int64):
+            out = next(self.draws, None)
+            if out is None:
+                calls.append((high, size[0]))
+                return np.zeros(size, dtype=dtype)
+            assert out.shape == size and 0 <= out.min() and out.max() < high
+            return out.astype(dtype)
+
+    tables._draw(Replay(), np.empty((tables.height, 1), dtype=np.int16))
+    bounds = [high for high, rows in calls for _ in range(rows)]
+    total = math.prod(bounds)
+    rem = np.arange(total)
+    digits = []
+    for bound in reversed(bounds):
+        digits.append(rem % bound)
+        rem //= bound
+    digits.reverse()
+    draws, start = [], 0
+    for _, rows in calls:
+        draws.append(np.stack(digits[start : start + rows]))
+        start += rows
+    buf = np.empty((tables.height, total), dtype=np.int16)
+    tables._draw(Replay(draws), buf)
+    counts = np.bincount(tables.descents(buf), minlength=d1.n)
+    assert tuple(counts) == exact_descent_polynomial(d1, d2).coefficients
+
+
+@pytest.mark.parametrize("kind", ["fixed-source", "fixed-target"])
+def test_sample_buffer_is_no_wider_than_one_value_per_draw_row(monkeypatch, kind):
+    # RedBlack1 (fixed-source) and AliceBob1 (fixed-target) pairs draw 8
+    # random values per member into 52 code rows, so a call draws more
+    # columns than it has draw rows to spare; the score batch gives way.
+    anchor = parse_deck("R^26,B^26")
+    other = sample_uniform_rearrangement(anchor, 76)
+    d1, d2 = (anchor, other) if kind == "fixed-source" else (other, anchor)
+    tables = _LabelTables(d1, d2, _SAMPLE_TABLE_MAX_MULT)
+    assert tables.values == 8
+    shapes = set()
+    descents = _LabelTables.descents
+
+    def spy(self, rows):
+        shapes.add(rows.base.shape)
+        return descents(self, rows)
+
+    monkeypatch.setattr(_LabelTables, "descents", spy)
+    sizes = [_BLOCK_SAMPLES, 777]
+    tables.sample_counts(sizes, [substream(76, PURPOSE_HISTOGRAM, b) for b in range(2)])
+    ((height, columns),) = shapes
+    batch = min(-(-_SCORE_CELLS // tables.width), _SCORE_COLUMNS)
+    assert height == tables.height
+    assert columns <= batch + _DRAW_CELLS // tables.width
 
 
 def test_histogram_of_a_label_above_127_cards_tracks_exact_moments():
@@ -727,8 +850,16 @@ def test_histogram_cache_skips_other_samplers(tmp_path):
 
 
 def test_histogram_resume_matches_uninterrupted(tmp_path, monkeypatch):
-    d1 = parse_deck("1,2,1,2,1")
-    d2 = parse_deck("1,1,2,2,1")
+    check_resume(tmp_path, monkeypatch, "1,2,1,2,1", "1,1,2,2,1")
+
+
+def test_code_label_histogram_resume_matches_uninterrupted(tmp_path, monkeypatch):
+    # The 9-card label is read at its slot 0, so it is flipped.
+    check_resume(tmp_path, monkeypatch, "2^2,1^9", "1^3,2,1^5,2,1")
+
+
+def check_resume(tmp_path, monkeypatch, source, target):
+    d1, d2 = parse_deck(source), parse_deck(target)
     # More blocks than one checkpoint holds, the last one partial.
     samples = (_CHECKPOINT_BLOCKS + 1) * _BLOCK_SAMPLES + 123
     straight = mc_descent_histogram(d1, d2, samples, seed=12)

@@ -13,7 +13,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Examples run only in part or not at all, by their leading arguments.
 SKIPPED = {
-    ("tvd", "--scenario", "redblack1"): "mc-hist run takes about 17 s on one core",
+    ("tvd", "--scenario", "redblack1"): "mc-hist run takes about 10 s on one core",
     ("hardness", "battery"): "its output is cut with '...'",
 }
 

@@ -22,6 +22,7 @@ from riffmix import (
     enumerate_arrangements,
     exact_descent_polynomial,
     exact_tvd_curve,
+    mc_descent_histogram,
     mc_tvd_curve,
     parse_deck,
     riffles_to_packets,
@@ -30,7 +31,7 @@ from riffmix import (
     scenario_names,
 )
 from riffmix.rng import PURPOSE_TVD, substream
-from riffmix.tvd import distinct_scenario
+from riffmix.tvd import _deck_fingerprint, distinct_scenario
 
 
 def riffle_result(cards, digits, a):
@@ -371,6 +372,30 @@ class TestMcTvd:
         )[0]
         assert 0.0 <= fitted.value <= 1.0
         assert fitted.value != plain.value
+
+    def test_uninformed_counts_arrangements_with_no_coefficient_below_a(self):
+        s = custom_scenario("1^4,2^4", FIXED_SOURCE)
+        packets = [1, 2, 3, 64]
+        est = mc_tvd_curve(
+            s, packets, k=20, seed=12, backend="mc-histogram", hist_samples=30
+        )
+        # Recount from the histograms the backend drew, one per distinct
+        # arrangement, with their seeds.
+        gen = substream(12, PURPOSE_TVD)
+        distinct = {sample_uniform_rearrangement(s.anchor, gen) for _ in range(20)}
+        want = [0] * len(packets)
+        for counterpart in distinct:
+            seed = (_deck_fingerprint(counterpart) ^ 12) & ((1 << 63) - 1)
+            counts = mc_descent_histogram(*s.pair(counterpart), 30, seed).counts
+            for e, a in enumerate(packets):
+                want[e] += not any(counts[:a])
+        assert [e.uninformed for e in est] == want
+        # One packet informs only the identity; 64 packets every histogram.
+        assert want[0] == len(distinct) - (s.anchor in distinct)
+        assert 0 < want[2] < want[0] and want[3] == 0
+        # Other backends leave it unset.
+        exact = mc_tvd_curve(s, packets, k=3, seed=12)
+        assert {e.uninformed for e in exact} == {None}
 
     def test_histograms_too_sparse_to_fit_keep_their_estimates(self):
         # No window of 12 degrees holds the 13 points a degree-11 fit needs.

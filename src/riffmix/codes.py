@@ -4,11 +4,13 @@ target positions, one small integer per slot.
 Inserted in order, slot q of an m-card label lands at rank q - c_q among
 the first q + 1, so its code c_q, in 0..q, counts the earlier slots whose
 target is larger.  Codes and bijections match one to one.  Codes are
-drawn exactly, as mixed-radix digits of a few bounded integers.
+drawn exactly, as mixed-radix digits of a few bounded integers, and
+decoded only at the slots a caller reads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -58,3 +60,32 @@ def peel(values: np.ndarray, codes: np.ndarray, base: int) -> None:
         codes[:, j] = values - quot * (base + j)
         values = quot
     codes[:, last] = values
+
+
+def insertion_targets(
+    codes: np.ndarray, slots: list[int], targets: np.ndarray, out: np.ndarray
+) -> None:
+    """Write into `out` the targets of the ascending `slots` of a label
+    with sorted `targets`, in each column of its code rows `codes`.
+
+    Slot q lands at rank q - c_q, and each later slot k with
+    k - c_k <= rank moves it up one.  With t = k - rank before slot k,
+    that test reads t <= c_k, t grows by one when it fails, and
+    rank = m - t at the end.  t stays in 1..m, so the scratch is int8 up
+    to 127 cards.  Code rows are cast by assignment and the comparison
+    added as int8 bytes, since numpy's mixed-type loops are slower.
+    """
+    m, b = codes.shape
+    dtype = np.int8 if m <= 127 else np.int16
+    t = np.empty((len(slots), b), dtype=dtype)
+    t[...] = codes[slots]
+    t += 1
+    code = np.empty(b, dtype=dtype)
+    grows = np.empty(t.shape, dtype=bool)
+    steps = grows.view(np.int8)
+    for k in range(slots[0] + 1, m):
+        p = bisect_left(slots, k)
+        code[...] = codes[k]
+        np.greater(t[:p], code, out=grows[:p])
+        t[:p] += steps[:p]
+    out[...] = np.take(targets, m - t)

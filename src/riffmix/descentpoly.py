@@ -15,7 +15,6 @@ sampling of the transition set, with per-degree reliability gauges.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cache as _cache
-from .codes import draw_codes, radix_groups
+from .codes import draw_codes, insertion_targets, radix_groups
 from .deck import (
     Deck,
     _capped_cardinality,
@@ -240,7 +239,7 @@ class _LabelTables:
         for i, c in enumerate(cards):
             slot_of[i] = seen.get(c, 0)
             seen[c] = slot_of[i] + 1
-        # `_insertion_targets` loops from the first slot read to the last.
+        # `insertion_targets` loops from the first slot read to the last.
         reads: dict[str, list[int]] = {}
         for i in range(self.n - 1):
             if self.first_row[cards[i]] != self.first_row[cards[i + 1]]:
@@ -403,16 +402,13 @@ class _LabelTables:
         """
         for row, tgt, slots, at in self.decodes:
             codes = rows[row : row + len(tgt)]
-            _insertion_targets(codes, slots, tgt, rows[at : at + len(slots)])
+            insertion_targets(codes, slots, tgt, rows[at : at + len(slots)])
         des = np.zeros(len(rows[0]), dtype=np.int16)
         for r, tab in self.runs:
             des += np.take(tab, rows[r])
         for lo, hi in self.code_runs:
-            if hi - lo == 1:
-                des += rows[hi] > rows[lo]
-            else:
-                ahead = rows[lo + 1 : hi + 1] > rows[lo:hi]
-                des += ahead.sum(axis=0, dtype=np.int16)
+            ahead = rows[lo + 1 : hi + 1] > rows[lo:hi]
+            des += ahead.sum(axis=0, dtype=np.int16)
         for left, i, right, j in self.mixed:
             a = rows[i] if left is None else np.take(left, rows[i])
             b = rows[j] if right is None else np.take(right, rows[j])
@@ -465,37 +461,6 @@ class _LabelTables:
                 out[row : row + len(units)] = draws
             else:
                 draw_codes(gen, out[row : row + len(units) * size].reshape(-1, size, b))
-
-
-
-def _insertion_targets(
-    codes: np.ndarray, slots: list[int], targets: np.ndarray, out: np.ndarray
-) -> None:
-    """Write into `out` the targets of the ascending `slots` of a code
-    label with sorted `targets`, in each column of its code rows `codes`.
-
-    Inserted in order, slot q lands at rank q - c_q among the first
-    q + 1, and each later slot k with k - c_k <= rank moves it up one.
-    With t = k - rank before slot k, that test reads t <= c_k, t grows
-    by one when it fails, and rank = m - t at the end.  t stays in 1..m,
-    so the scratch is int8 up to 127 cards.  Code rows are cast by
-    assignment and the comparison added as int8 bytes, since numpy's
-    mixed-type loops are slower.
-    """
-    m, b = codes.shape
-    dtype = np.int8 if m <= 127 else np.int16
-    t = np.empty((len(slots), b), dtype=dtype)
-    t[...] = codes[slots]
-    t += 1
-    code = np.empty(b, dtype=dtype)
-    grows = np.empty(t.shape, dtype=bool)
-    steps = grows.view(np.int8)
-    for k in range(slots[0] + 1, m):
-        p = bisect_left(slots, k)
-        code[...] = codes[k]
-        np.greater(t[:p], code, out=grows[:p])
-        t[:p] += steps[:p]
-    out[...] = np.take(targets, m - t)
 
 
 # ---------------------------------------------------------------------------

@@ -2,21 +2,14 @@
 of the order matters.
 
 The library centers on descent polynomials of deck transitions: exact
-enumeration for small decks, sampled histograms and moment-matched
-normal curves beyond, total variation distance from uniform built on
-top, and the reductions showing why exact answers are hard in general.
+enumeration for small decks and a DP for block decks, sampled
+histograms and moment-matched normal curves beyond, total variation
+distance from uniform built on top, and the reductions showing why
+exact answers are hard in general.
 """
 
-from .approx import (
-    DescentMoments,
-    PairStatistics,
-    TailFit,
-    descent_moments,
-    normal_coefficient_estimate,
-    normal_error_bound_applies,
-    normal_polynomial_estimate,
-    tail_extrapolate,
-)
+import importlib
+
 from .deck import (
     Deck,
     Permutation,
@@ -59,32 +52,6 @@ from .errors import (
     RiffmixError,
     SignatureMismatchError,
 )
-from .hardness import (
-    MatchingInstance,
-    MinCutsInstance,
-    RiffleInstance,
-    balanced_class_count_formula,
-    balanced_complement_classes,
-    matching_witness_ok,
-    mincuts_witness_ok,
-    parse_instance,
-    random_matching_instance,
-    reduce_matching_to_riffle,
-    reduce_matching_to_riffle_bracketed,
-    reduce_riffle_to_mincuts,
-    riffle_witness_ok,
-    solve_matching,
-    solve_mincuts,
-    solve_riffle,
-    strided_descent_counts,
-    strided_total,
-)
-from .shuffle import (
-    permutation_probability,
-    sample_a_shuffle,
-    sample_digit_sequence,
-    sequence_to_permutation,
-)
 from .tvd import (
     ALPHA_TABLE,
     BACKENDS,
@@ -100,6 +67,48 @@ from .tvd import (
     scenario,
     scenario_names,
 )
+
+# Names of these modules load on first use (PEP 562), so that a command
+# imports only the modules it runs.
+_LAZY = {
+    "approx": (
+        "DescentMoments",
+        "PairStatistics",
+        "TailFit",
+        "descent_moments",
+        "normal_coefficient_estimate",
+        "normal_error_bound_applies",
+        "normal_polynomial_estimate",
+        "tail_extrapolate",
+    ),
+    "hardness": (
+        "MatchingInstance",
+        "MinCutsInstance",
+        "RiffleInstance",
+        "balanced_class_count_formula",
+        "balanced_complement_classes",
+        "matching_witness_ok",
+        "mincuts_witness_ok",
+        "parse_instance",
+        "random_matching_instance",
+        "reduce_matching_to_riffle",
+        "reduce_matching_to_riffle_bracketed",
+        "reduce_riffle_to_mincuts",
+        "riffle_witness_ok",
+        "solve_matching",
+        "solve_mincuts",
+        "solve_riffle",
+        "strided_descent_counts",
+        "strided_total",
+    ),
+    "shuffle": (
+        "permutation_probability",
+        "sample_a_shuffle",
+        "sample_digit_sequence",
+        "sequence_to_permutation",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -184,3 +193,12 @@ __all__ = [
     "tail_extrapolate",
     "transition_cardinality",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

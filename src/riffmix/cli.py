@@ -23,8 +23,8 @@ import argparse
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .approx import normal_error_bound_applies, normal_polynomial_estimate
 from .deck import Deck, deck_text, parse_deck
 from .descentpoly import (
     eulerian_row,
@@ -32,26 +32,6 @@ from .descentpoly import (
     mc_descent_histogram,
 )
 from .errors import RiffmixError
-from .hardness import (
-    MatchingInstance,
-    MinCutsInstance,
-    RiffleInstance,
-    balanced_class_count_formula,
-    balanced_complement_classes,
-    matching_witness_ok,
-    mincuts_witness_ok,
-    parse_instance,
-    random_matching_instance,
-    reduce_matching_to_riffle,
-    reduce_matching_to_riffle_bracketed,
-    reduce_riffle_to_mincuts,
-    riffle_witness_ok,
-    solve_matching,
-    solve_mincuts,
-    solve_riffle,
-    strided_descent_counts,
-    strided_total,
-)
 from .rng import substream, PURPOSE_INSTANCE_GEN
 from .tvd import (
     Scenario,
@@ -63,6 +43,9 @@ from .tvd import (
     scenario,
     scenario_names,
 )
+
+if TYPE_CHECKING:
+    from .hardness import MatchingInstance
 
 CSV_TAG = "# riffmix csv v1"
 RESULT_HEADER = "scenario,shuffles,method,value,k,l,seed,err96,err999996"
@@ -334,6 +317,8 @@ def cmd_poly(args: argparse.Namespace) -> int:
             )
         compact = ",".join(repr(float(e)) for e in est)
     else:
+        from .approx import normal_error_bound_applies, normal_polynomial_estimate
+
         moments, est = normal_polynomial_estimate(d1, d2)
         if moments.variance == 0:
             print(
@@ -368,6 +353,8 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 
 def _gen_instances(args: argparse.Namespace) -> list[MatchingInstance]:
+    from .hardness import random_matching_instance
+
     for flag, value, least in (
         ("--count", args.count, 0),
         ("--m-max", args.m_max, 1),
@@ -395,6 +382,15 @@ def _read_instance_lines(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_hardness_reduce(args: argparse.Namespace) -> int:
+    from .hardness import (
+        MatchingInstance,
+        RiffleInstance,
+        parse_instance,
+        reduce_matching_to_riffle,
+        reduce_matching_to_riffle_bracketed,
+        reduce_riffle_to_mincuts,
+    )
+
     for line in _read_instance_lines(args):
         inst = parse_instance(line)
         if not isinstance(inst, MatchingInstance):
@@ -414,6 +410,17 @@ def cmd_hardness_reduce(args: argparse.Namespace) -> int:
 
 def _solve(inst, node_cap: int) -> tuple[bool, object]:
     """Solve one instance of any kind, verifying a yes answer's witness."""
+    from .hardness import (
+        MatchingInstance,
+        RiffleInstance,
+        matching_witness_ok,
+        mincuts_witness_ok,
+        riffle_witness_ok,
+        solve_matching,
+        solve_mincuts,
+        solve_riffle,
+    )
+
     if isinstance(inst, MatchingInstance):
         ok, witness = solve_matching(inst)
         checked, what = matching_witness_ok, "matching"
@@ -429,6 +436,8 @@ def _solve(inst, node_cap: int) -> tuple[bool, object]:
 
 
 def _solve_any(line: str, node_cap: int) -> tuple[str, str]:
+    from .hardness import MatchingInstance, RiffleInstance, parse_instance
+
     inst = parse_instance(line)
     ok, witness = _solve(inst, node_cap)
     if not ok:
@@ -441,6 +450,8 @@ def _solve_any(line: str, node_cap: int) -> tuple[str, str]:
 
 
 def cmd_hardness_solve(args: argparse.Namespace) -> int:
+    from .hardness import MinCutsInstance
+
     if args.mincuts:
         d1, d2, budget = args.mincuts
         try:
@@ -460,6 +471,12 @@ def cmd_hardness_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_hardness_battery(args: argparse.Namespace) -> int:
+    from .hardness import (
+        reduce_matching_to_riffle,
+        reduce_matching_to_riffle_bracketed,
+        reduce_riffle_to_mincuts,
+    )
+
     disagreements = 0
     for i, inst in enumerate(_gen_instances(args)):
         riffle = reduce_matching_to_riffle(inst)
@@ -489,6 +506,8 @@ def cmd_hardness_battery(args: argparse.Namespace) -> int:
 
 
 def cmd_explore_classes(args: argparse.Namespace) -> int:
+    from .hardness import balanced_class_count_formula, balanced_complement_classes
+
     for n in _parse_range(args.n, "--n"):
         classes, seqs = balanced_complement_classes(n)
         formula = balanced_class_count_formula(n)
@@ -500,6 +519,8 @@ def cmd_explore_classes(args: argparse.Namespace) -> int:
 
 
 def cmd_explore_modh(args: argparse.Namespace) -> int:
+    from .hardness import strided_descent_counts, strided_total
+
     counts = strided_descent_counts(args.n, args.h, cap=args.cap)
     total = strided_total(args.n, args.h)
     shown = list(counts)

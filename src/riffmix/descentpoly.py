@@ -7,14 +7,17 @@ carrying `d1` onto `d2` by descent count.  The coefficient vector
 
     P(a) = sum_d c[d] * w[d] / a^n,   w = shuffle_weights(n, a)
 
-Exact coefficients come from exhaustive enumeration (vectorized when the
-transition set is large); estimated coefficients come from uniform
-sampling of the transition set, with per-degree reliability gauges.
+Exact coefficients come from a DP over labels when either deck is a block
+deck (`blockdp`), and otherwise, or when the transition set is tiny, from
+exhaustive enumeration (vectorized when the transition set is large);
+estimated coefficients come from uniform sampling of the transition set,
+with per-degree reliability gauges.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cache as _cache
+from .blockdp import is_block, source_counts, target_counts
 from .codes import draw_codes, insertion_targets, radix_groups
 from .deck import (
     Deck,
@@ -37,7 +41,7 @@ from .errors import CapExceededError, InconsistentProbabilitiesError
 from .rng import PURPOSE_HISTOGRAM, substream
 
 # Transition sets at or below this size are enumerated in pure Python;
-# larger ones go through the vectorized engine.
+# larger ones go through a block-deck DP or the vectorized engine.
 _PLAIN_ENUM_MAX = 200
 # Per-label permutation tables are materialized up to this multiplicity
 # when enumerating, and up to the second one when sampling; larger labels
@@ -513,7 +517,13 @@ def _counts_vectorized(d1: Deck, d2: Deck) -> list[int]:
 @lru_cache(maxsize=4096)
 def _exact_polynomial_cached(d1: Deck, d2: Deck) -> DescentPolynomial:
     card = transition_cardinality(d1, d2)
-    if card <= _PLAIN_ENUM_MAX or max(d1.counts.values()) > _TABLE_MAX_MULT:
+    if card <= _PLAIN_ENUM_MAX:
+        counts = _counts_plain(d1, d2)
+    elif is_block(d2):
+        counts = _coefficients_from_counts(target_counts(d1, d2))
+    elif is_block(d1):
+        counts = _coefficients_from_counts(source_counts(d1, d2))
+    elif max(d1.counts.values()) > _TABLE_MAX_MULT:
         counts = _counts_plain(d1, d2)
     else:
         counts = _counts_vectorized(d1, d2)
@@ -525,12 +535,17 @@ def exact_descent_polynomial(
 ) -> DescentPolynomial:
     """Classify every permutation carrying `d1` onto `d2` by descents.
 
-    Raises `CapExceededError` when the transition set is larger than
-    `cap` (or than the int64 tally allows), and `SignatureMismatchError`
-    when the decks hold different cards.  Results are memoized by deck
-    pair, so repeated queries for the same pair are free.
+    A pair where either deck is a block deck is found by a DP at any
+    size.  Any other pair is enumerated: it raises `CapExceededError`
+    when the transition set is larger than `cap` (or than the int64
+    tally allows).  Raises `SignatureMismatchError` when the decks hold
+    different cards.  Results are memoized by deck pair, so repeated
+    queries for the same pair are free.
     """
-    _capped_cardinality(d1, d2, min(cap, _COUNT_MAX))
+    if is_block(d1) or is_block(d2):
+        transition_cardinality(d1, d2)
+    else:
+        _capped_cardinality(d1, d2, min(cap, _COUNT_MAX))
     return _exact_polynomial_cached(d1, d2)
 
 
@@ -808,6 +823,23 @@ def mc_descent_histogram(
 # Inverting probabilities back to coefficients
 
 
+def _coefficients_from_counts(counts: list) -> list:
+    """c_0..c_{n-1} from count(a) = a^n * P(a) = sum_d c_d C(a+n-d-1, n)
+    at a = 1..n, as `blockdp` counts them.
+
+    At packet count a, degree a - 1 weighs 1 and higher degrees 0, so
+    forward substitution solves the system exactly, in ints or
+    `Fraction`s alike.
+    """
+    n = len(counts)
+    # Degree d weighs C(a+n-d-1, n) = weights[n - a + d] at packet count a.
+    weights, _ = shuffle_weights(n, n)
+    coeffs: list = []
+    for a, count in enumerate(counts, start=1):
+        coeffs.append(count - sum(map(operator.mul, coeffs, weights[n - a :])))
+    return coeffs
+
+
 def probabilities_to_polynomial(
     probabilities: list[Fraction] | tuple[Fraction, ...], n: int
 ) -> tuple[int, ...]:
@@ -821,18 +853,15 @@ def probabilities_to_polynomial(
     """
     if len(probabilities) != n:
         raise ValueError(f"need probabilities for a = 1..{n}")
-    coeffs: list[int] = []
-    for a in range(1, n + 1):
-        weights, denom = shuffle_weights(n, a)
-        val = Fraction(probabilities[a - 1]) * denom
-        for d in range(a - 1):
-            val -= coeffs[d] * weights[d]
+    coeffs = _coefficients_from_counts(
+        [Fraction(p) * a**n for a, p in enumerate(probabilities, start=1)]
+    )
+    for d, val in enumerate(coeffs):
         if val.denominator != 1 or val < 0:
             raise InconsistentProbabilitiesError(
-                f"degree {a - 1} coefficient resolves to {val}"
+                f"degree {d} coefficient resolves to {val}"
             )
-        coeffs.append(int(val))
-    return tuple(coeffs)
+    return tuple(int(val) for val in coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ reaching one distinguished order matters (fixed target, by symmetry of
 the sum over the other side).
 
 For decks of distinct cards the sum collapses to a closed form over
-descent counts.  For small repeated-label decks it is summed exactly.
+descent counts.  For repeated-label decks with few enough arrangements it
+is summed exactly.
 Beyond that, sampling arrangements uniformly gives the estimator
 
     Y = (1/k) * sum over k sampled arrangements of max(0, 1 - N * P(X))
@@ -34,13 +35,9 @@ from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .approx import (
-    PairStatistics,
-    normal_error_bound_applies,
-    normal_polynomial_estimate,
-    tail_extrapolate,
-)
+from .blockdp import is_block
 from .deck import (
     Deck,
     _capped_cardinality,
@@ -60,6 +57,9 @@ from .descentpoly import (
 )
 from .errors import CapExceededError
 from .rng import PURPOSE_TVD, substream
+
+if TYPE_CHECKING:
+    from .approx import PairStatistics
 
 # Deviation bounds for the sampling estimator: (alpha, P(exceed) bound).
 ALPHA_TABLE: tuple[tuple[float, float], ...] = (
@@ -179,10 +179,13 @@ def exact_tvd_curve(
 
     The deck alone picks the route: distinct cards take the closed form,
     decks of up to `_SWEEP_MAX_N` cards one permutation sweep, and larger
-    decks per-arrangement enumeration, each found once for all packet
-    counts.  Unless the cards are distinct, raises `CapExceededError`
-    when the arrangement count exceeds `arrangement_cap` or the
-    transition set exceeds `transition_cap`; the caps pick no route.
+    decks one `exact_descent_polynomial` per arrangement, each found once
+    for all packet counts.  Unless the cards are distinct, raises
+    `CapExceededError` when the arrangement count exceeds
+    `arrangement_cap`, or when the transition set exceeds
+    `transition_cap` and is enumerated: by the sweep, or per arrangement
+    when the deck is not a block deck (a block deck's pairs take a DP).
+    The caps pick no route.
     """
     n = s.anchor.n
     weighted = [shuffle_weights(n, a) for a in packets]
@@ -199,7 +202,8 @@ def exact_tvd_curve(
                 f"scenario has {count} arrangements, above the cap of {arrangement_cap}"
             )
         # Every arrangement's transition set has the anchor's size.
-        _capped_cardinality(s.anchor, s.anchor, transition_cap)
+        if n <= _SWEEP_MAX_N or not is_block(s.anchor):
+            _capped_cardinality(s.anchor, s.anchor, transition_cap)
         if n <= _SWEEP_MAX_N:
             role = "source" if s.kind == FIXED_SOURCE else "target"
             family = descent_polynomial_family(s.anchor, role=role)
@@ -271,7 +275,7 @@ def _deck_fingerprint(deck: Deck) -> int:
 def _exact_coefficients(
     s: Scenario, counterpart: Deck, transition_cap: int
 ) -> tuple[int, ...]:
-    """Exact transition polynomial (small decks only)."""
+    """Exact transition polynomial."""
     return exact_descent_polynomial(*s.pair(counterpart), cap=transition_cap).coefficients
 
 
@@ -305,6 +309,8 @@ def _histogram_coefficients(
     estimates = hist.coefficient_estimates()
     if not extrapolate:
         return estimates
+    from .approx import tail_extrapolate
+
     try:
         fit = tail_extrapolate(
             hist, degree=fit_degree, min_count=min_count, window=window
@@ -332,6 +338,8 @@ def _normal_coefficients(
     """`normal_polynomial_estimate` of one pair.  `stats` is the target's,
     when every counterpart shares one target.  The cards of a counterpart
     whose curve has no proven error bound are appended to `unproven`."""
+    from .approx import normal_error_bound_applies, normal_polynomial_estimate
+
     moments, estimates = normal_polynomial_estimate(*s.pair(counterpart), stats)
     if moments.variance and not normal_error_bound_applies(moments):
         unproven.append(counterpart.cards)
@@ -383,7 +391,8 @@ def mc_tvd_curve(
     arrangement draws, where P comes from the coefficient vector the
     chosen backend gives each arrangement:
 
-    - "exact-oracle": exact transition polynomials (small decks only);
+    - "exact-oracle": exact transition polynomials (`exact_descent_polynomial`,
+      whose cap refuses only enumerated pairs);
     - "mc-histogram": sampled histograms of size `hist_samples`, with an
       optional log-scale tail fit when `extrapolate` is set; with an
       automatic fit window, each estimate's `unfitted` counts the
@@ -425,6 +434,8 @@ def mc_tvd_curve(
             unfitted=unfitted,
         )
     elif backend == "normal-approx":
+        from .approx import PairStatistics
+
         method = "normal"
         unproven = []
         coefficients = partial(

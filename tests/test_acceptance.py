@@ -309,3 +309,16 @@ class TestAcceptance:
                 classes, sequences = balanced_complement_classes(n)
                 assert sequences == math.comb(2 * n, n)
                 assert classes == 1
+
+    def test_11_full_size_exact_term_rows(self, announce):
+        # Block-target scenarios take the label DP per arrangement, so the
+        # exact-term estimator answers at 52 cards.
+        with criterion(11, "full-size exact-term rows", 60.0, announce):
+            want = {
+                "Bridge1": (1.0, 0.9938, 0.7410, 0.4105, 0.1048),
+                "AliceBob1": (1.0, 0.7182, 0.3089, 0.1337, 0.0293),
+            }
+            packets = [riffles_to_packets(k) for k in (3, 4, 5, 6, 8)]
+            for name, row in want.items():
+                est = mc_tvd_curve(scenario(name), packets, k=400, seed=42)
+                assert tuple(round(e.value, 4) for e in est) == row, name

@@ -6,12 +6,13 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import riffmix
-from riffmix import parse_deck
+from riffmix import digit_transition_counts, parse_deck, probability_from_coefficients
 from riffmix.cli import CSV_TAG, POLY_HEADER, RESULT_HEADER, ResultRow, main
 from riffmix.hardness import MatchingInstance, MinCutsInstance, RiffleInstance, parse_instance
 
@@ -366,10 +367,21 @@ class TestPoly:
 
     def test_transition_cap_exits_3(self, capsys):
         code, _, err = run(
-            capsys, "poly", "--source", "1^8,2^8", "--target", "2^8,1^8"
+            capsys, "poly", "--source", "(1,2)^8", "--target", "(2,1)^8"
         )
         assert code == 3
         assert "cap" in err.lower()
+        # Block decks take the DP, which no cap refuses.
+        code, out, _ = run(
+            capsys, "poly", "--source", "1^8,2^8", "--target", "2^8,1^8", "--cap", "1"
+        )
+        assert code == 0
+        _, body = csv_body(out)
+        coeffs = [int(line.split(",")[1]) for line in body]
+        assert sum(coeffs) == math.factorial(8) ** 2
+        d1, d2 = parse_deck("1^8,2^8"), parse_deck("2^8,1^8")
+        walk = digit_transition_counts(d1, 2)
+        assert probability_from_coefficients(coeffs, 2) == Fraction(walk[d2], 2**16)
 
     def test_unusable_cache_env_dir_exits_2_naming_it(
         self, capsys, tmp_path, monkeypatch

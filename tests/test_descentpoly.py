@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -41,10 +42,18 @@ from riffmix.descentpoly import (
     _SCORE_COLUMNS,
     _TABLE_MAX_MULT,
     SAMPLER_VERSION,
+    _coefficients_from_counts,
     _counts_plain,
     _counts_vectorized,
     _LabelTables,
     _perm_table,
+)
+from riffmix.blockdp import is_block, source_counts, target_counts
+from riffmix.deck import (
+    Permutation,
+    _transition_images,
+    descents,
+    transition_cardinality,
 )
 from riffmix.rng import PURPOSE_HISTOGRAM, substream
 
@@ -160,10 +169,129 @@ def test_distinct_rows_match_row_wise_unique(source, target, groups):
             np.testing.assert_array_equal(got_mult, mult)
 
 
+# ---------------------------------------------------------------------------
+# Block decks: the label DP
+
+
+def block_dp(d1, d2, block):
+    """The DP's coefficients of (d1, d2), reading the block deck on the
+    `block` side ("source" or "target")."""
+    if block == "source":
+        return tuple(_coefficients_from_counts(source_counts(d1, d2)))
+    return tuple(_coefficients_from_counts(target_counts(d1, d2)))
+
+
+def block_pairs(gen, shape):
+    """(block side, source, target) for the block deck of label sizes
+    `shape` and a uniform rearrangement of it, in both roles."""
+    block = parse_deck(",".join(f"{lab + 1}^{m}" for lab, m in enumerate(shape)))
+    other = sample_uniform_rearrangement(block, gen)
+    return [("source", block, other), ("target", other, block)]
+
+
+def tally_images(d1, d2):
+    """Descent tally over `_transition_images`."""
+    counts = [0] * d1.n
+    for images in _transition_images(d1, d2):
+        counts[sum(map(operator.gt, images, images[1:]))] += 1
+    return tuple(counts)
+
+
+def test_block_decks_are_the_decks_whose_labels_sit_together():
+    for expr in ("1", "1^4,2^4", "R^26,B^26", "3,1,2", "2^3,1"):
+        assert is_block(parse_deck(expr))
+    for expr in ("1,2,1", "(1,2)^2", "1^3,2,1^5,2"):
+        assert not is_block(parse_deck(expr))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (1,),
+        (2, 3),
+        (1,) * 7,
+        (2, 2, 2, 2),
+        (4, 4, 4),
+        (1, 5, 1, 5),
+        (2,) * 6,
+        (3, 8),
+        (6, 6),
+        (2, 9),
+        (9, 1, 2),
+    ],
+)
+def test_block_dp_matches_enumeration(shape):
+    gen = substream(19, *shape)
+    for _ in range(2):
+        for block, d1, d2 in block_pairs(gen, shape):
+            got = block_dp(d1, d2, block)
+            assert got == tuple(_counts_vectorized(d1, d2)), (block, d1, d2)
+            if transition_cardinality(d1, d2) <= 20_000:
+                assert got == tuple(_counts_plain(d1, d2)) == tally_images(d1, d2)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(10,), (5, 5), (3, 3, 4), (1, 2, 3, 4), (10, 1), (1, 10), (2, 10), (10, 2)],
+)
+def test_block_dp_matches_digit_counts_and_moments(shape):
+    # Enumerating a 10-card label takes seconds per pair; digit words at
+    # two and three packets, and the moment formulas, take milliseconds.
+    for block, d1, d2 in block_pairs(substream(20, *shape), shape):
+        coeffs = block_dp(d1, d2, block)
+        assert sum(coeffs) == transition_cardinality(d1, d2)
+        for a in (2, 3):
+            walk = digit_transition_counts(d1, a)
+            assert probability_from_coefficients(coeffs, a) == Fraction(
+                walk.get(d2, 0), a**d1.n
+            )
+        mean = Fraction(sum(d * c for d, c in enumerate(coeffs)), sum(coeffs))
+        square = Fraction(sum(d * d * c for d, c in enumerate(coeffs)), sum(coeffs))
+        moments = descent_moments(d1, d2)
+        assert (moments.mean, moments.variance) == (mean, square - mean**2)
+
+
+def test_block_dp_gives_unit_rows_on_distinct_decks():
+    # One permutation carries a distinct deck onto another: its row is the
+    # unit vector at its descent count, at any size.
+    gen = substream(22)
+    for n in (1, 2, 5, 52):
+        for block, d1, d2 in block_pairs(gen, (1,) * n):
+            images = [d2.cards.index(c) + 1 for c in d1.cards]
+            d = descents(Permutation(tuple(images)))
+            assert block_dp(d1, d2, block) == tuple(int(e == d) for e in range(n))
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        ("1^4,2^4,3^4,4^4,5^4,6^4,7^4,8^4,9^4,10^4,11^4,12^4,13^4",
+         "13^4,12^4,11^4,10^4,9^4,8^4,7^4,6^4,5^4,4^4,3^4,2^4,1^4"),
+        ("R^26,B^26", "B^26,R^26"),
+        ("N^13,E^13,S^13,W^13", "S^13,N^13,W^13,E^13"),
+    ],
+)
+def test_both_block_dps_agree_at_52_cards(source, target):
+    d1, d2 = parse_deck(source), parse_deck(target)
+    coeffs = block_dp(d1, d2, "source")
+    assert coeffs == block_dp(d1, d2, "target")
+    assert sum(coeffs) == math.prod(math.factorial(m) for m in d1.counts.values())
+    assert min(coeffs) >= 0
+    assert exact_descent_polynomial(d1, d2, cap=1).coefficients == coeffs
+
+
 def test_exact_polynomial_cap():
-    d = parse_deck("1^8,2^8")
+    # The cap refuses enumerations: pairs without a block deck.
+    d = parse_deck("(1,2)^8")
     with pytest.raises(CapExceededError):
         exact_descent_polynomial(d, d, cap=10**6)
+    # A block pair of the same size takes the DP, which no cap refuses.
+    d = parse_deck("1^8,2^8")
+    poly = exact_descent_polynomial(d, d, cap=10**6)
+    assert poly.cardinality == math.factorial(8) ** 2
+    assert poly.coefficients[0] == 1
+    walk = digit_transition_counts(d, 2)
+    assert poly.probability(2) == Fraction(walk[d], 2**16)
 
 
 def test_exact_polynomial_signature_mismatch():

@@ -24,6 +24,11 @@ from riffmix import (  # noqa: E402
     sample_uniform_rearrangement,
     transition_cardinality,
 )
+from riffmix.blockdp import source_counts, target_counts  # noqa: E402
+from riffmix.descentpoly import (  # noqa: E402
+    _coefficients_from_counts,
+    _counts_vectorized,
+)
 from riffmix.rng import substream  # noqa: E402
 
 
@@ -47,6 +52,12 @@ pairs = pairs_of(decks)
 # Up to 5 labels over up to 8 cards, so many labels hold a single card.
 wide_pairs = pairs_of(deck_lists(5, 8))
 small = settings(max_examples=50, deadline=None)
+# Block decks of up to 5 labels of up to 4 cards, in a random label order.
+block_decks = st.lists(st.integers(1, 4), min_size=1, max_size=5).flatmap(
+    lambda sizes: st.permutations(range(len(sizes))).map(
+        lambda order: parse_deck(",".join(f"{lab}^{sizes[lab]}" for lab in order))
+    )
+)
 
 
 @small
@@ -112,3 +123,15 @@ def test_moments_match_enumerated_polynomial(pair):
     moments = descent_moments(d1, d2)
     assert moments.mean == mean
     assert moments.variance == square - mean**2
+
+
+@small
+@given(pairs_of(block_decks))
+def test_block_dp_matches_enumeration_in_both_roles(pair):
+    block, other = pair
+    for d1, d2, counts in (
+        (block, other, source_counts),
+        (other, block, target_counts),
+    ):
+        coeffs = _coefficients_from_counts(counts(d1, d2))
+        assert coeffs == _counts_vectorized(d1, d2)

@@ -13,7 +13,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Examples run only in part or not at all, by their leading arguments.
 SKIPPED = {
-    ("tvd", "--scenario", "redblack1"): "mc-hist run takes about 10 s on one core",
+    ("tvd", "--scenario", "redblack1", "--shuffles", "3..5", "--method", "mc-hist"): (
+        "mc-hist run takes about 10 s on one core"
+    ),
     ("hardness", "battery"): "its output is cut with '...'",
 }
 

@@ -19,6 +19,7 @@ from riffmix import (
     bayer_diaconis_tvd,
     custom_scenario,
     descent_polynomial_family,
+    digit_transition_counts,
     enumerate_arrangements,
     exact_descent_polynomial,
     exact_tvd_curve,
@@ -150,6 +151,35 @@ class TestExactTvd:
         s = custom_scenario("1,1,2,2,3", FIXED_SOURCE)
         with pytest.raises(CapExceededError):
             exact_tvd_curve(s, [2], transition_cap=2)
+
+    @pytest.mark.parametrize(
+        "deck, kind, a",
+        [
+            ("1^10,2", FIXED_SOURCE, 2),
+            ("1^10,2", FIXED_SOURCE, 3),
+            ("1^2,2^9", FIXED_TARGET, 2),
+        ],
+    )
+    def test_block_decks_above_the_sweep_take_the_dp_so_no_transition_cap_applies(
+        self, deck, kind, a
+    ):
+        # Each pair has 10! or more members, and the DP enumerates none.
+        s = custom_scenario(deck, kind)
+        n, count = s.anchor.n, s.arrangements
+        walk = digit_transition_counts(s.anchor, a)
+        want = Fraction(0)
+        for other in enumerate_arrangements(s.anchor):
+            if kind == FIXED_SOURCE:
+                hits = walk.get(other, 0)
+            else:
+                hits = digit_transition_counts(other, a).get(s.anchor, 0)
+            want += max(Fraction(0), Fraction(1, count) - Fraction(hits, a**n))
+        assert exact_tvd_curve(s, [a], transition_cap=0) == [want]
+
+    def test_transition_cap_refuses_enumerated_decks_above_the_sweep(self):
+        s = custom_scenario("1^5,2,1^5", FIXED_SOURCE)
+        with pytest.raises(CapExceededError):
+            exact_tvd_curve(s, [2], transition_cap=10**6)
 
     def test_distinct_decks_enumerate_nothing_so_no_cap_applies(self):
         (value,) = exact_tvd_curve(scenario("BayerDiaconis"), [2**7])
@@ -459,7 +489,7 @@ class TestCurves:
         "deck, kind",
         [
             ("1,2,3,4,5", FIXED_TARGET),  # Eulerian closed form
-            ("1^5,2^6", FIXED_SOURCE),  # per-arrangement enumeration
+            ("1^5,2^6", FIXED_SOURCE),  # per-arrangement block DP
         ],
     )
     def test_exact_routes_picked_by_the_deck(self, deck, kind):

@@ -10,67 +10,65 @@ exact answers are hard in general.
 
 import importlib
 
-from .deck import (
-    Deck,
-    Permutation,
-    apply,
-    arrangement_count,
-    compose,
-    deck_text,
-    descents,
-    enumerate_arrangements,
-    enumerate_transitions,
-    identity,
-    inverse,
-    is_transition,
-    label_positions,
-    parse_deck,
-    sample_uniform_rearrangement,
-    sample_uniform_transition,
-    transition_cardinality,
-)
-from .descentpoly import (
-    DescentHistogram,
-    DescentPolynomial,
-    PolynomialFamily,
-    descent_distribution_under_a_shuffle,
-    descent_polynomial_family,
-    digit_transition_counts,
-    eulerian_row,
-    exact_descent_polynomial,
-    family_as_dict,
-    mc_descent_histogram,
-    probabilities_to_polynomial,
-    probability_from_coefficients,
-    shuffle_weights,
-)
-from .errors import (
-    CapExceededError,
-    DeckParseError,
-    DegenerateDistributionError,
-    InconsistentProbabilitiesError,
-    RiffmixError,
-    SignatureMismatchError,
-)
-from .tvd import (
-    ALPHA_TABLE,
-    BACKENDS,
-    FIXED_SOURCE,
-    FIXED_TARGET,
-    Scenario,
-    TvdEstimate,
-    bayer_diaconis_tvd,
-    custom_scenario,
-    exact_tvd_curve,
-    mc_tvd_curve,
-    riffles_to_packets,
-    scenario,
-    scenario_names,
-)
-
 # Names of these modules load on first use (PEP 562), so that a command
 # imports only the modules it runs.
 _LAZY = {
+    "deck": (
+        "Deck",
+        "Permutation",
+        "apply",
+        "arrangement_count",
+        "compose",
+        "deck_text",
+        "descents",
+        "enumerate_arrangements",
+        "enumerate_transitions",
+        "identity",
+        "inverse",
+        "is_transition",
+        "label_positions",
+        "parse_deck",
+        "sample_uniform_rearrangement",
+        "sample_uniform_transition",
+        "transition_cardinality",
+    ),
+    "descentpoly": (
+        "DescentHistogram",
+        "DescentPolynomial",
+        "PolynomialFamily",
+        "descent_distribution_under_a_shuffle",
+        "descent_polynomial_family",
+        "digit_transition_counts",
+        "eulerian_row",
+        "exact_descent_polynomial",
+        "family_as_dict",
+        "mc_descent_histogram",
+        "probabilities_to_polynomial",
+        "probability_from_coefficients",
+    ),
+    "errors": (
+        "CapExceededError",
+        "DeckParseError",
+        "DegenerateDistributionError",
+        "InconsistentProbabilitiesError",
+        "RiffmixError",
+        "SignatureMismatchError",
+    ),
+    "tvd": (
+        "ALPHA_TABLE",
+        "BACKENDS",
+        "FIXED_SOURCE",
+        "FIXED_TARGET",
+        "Scenario",
+        "TvdEstimate",
+        "bayer_diaconis_tvd",
+        "custom_scenario",
+        "exact_tvd_curve",
+        "mc_tvd_curve",
+        "riffles_to_packets",
+        "scenario",
+        "scenario_names",
+    ),
     "approx": (
         "DescentMoments",
         "PairStatistics",
@@ -106,93 +104,14 @@ _LAZY = {
         "sample_a_shuffle",
         "sample_digit_sequence",
         "sequence_to_permutation",
+        "shuffle_weights",
     ),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALPHA_TABLE",
-    "BACKENDS",
-    "CapExceededError",
-    "Deck",
-    "DeckParseError",
-    "DegenerateDistributionError",
-    "DescentHistogram",
-    "DescentMoments",
-    "DescentPolynomial",
-    "FIXED_SOURCE",
-    "FIXED_TARGET",
-    "InconsistentProbabilitiesError",
-    "MatchingInstance",
-    "MinCutsInstance",
-    "PairStatistics",
-    "Permutation",
-    "PolynomialFamily",
-    "RiffleInstance",
-    "RiffmixError",
-    "Scenario",
-    "SignatureMismatchError",
-    "TailFit",
-    "TvdEstimate",
-    "apply",
-    "arrangement_count",
-    "balanced_class_count_formula",
-    "balanced_complement_classes",
-    "bayer_diaconis_tvd",
-    "compose",
-    "custom_scenario",
-    "deck_text",
-    "descent_distribution_under_a_shuffle",
-    "descent_moments",
-    "descent_polynomial_family",
-    "descents",
-    "digit_transition_counts",
-    "enumerate_arrangements",
-    "enumerate_transitions",
-    "eulerian_row",
-    "exact_descent_polynomial",
-    "exact_tvd_curve",
-    "family_as_dict",
-    "identity",
-    "inverse",
-    "is_transition",
-    "label_positions",
-    "matching_witness_ok",
-    "mc_descent_histogram",
-    "mc_tvd_curve",
-    "mincuts_witness_ok",
-    "normal_coefficient_estimate",
-    "normal_error_bound_applies",
-    "normal_polynomial_estimate",
-    "parse_deck",
-    "parse_instance",
-    "permutation_probability",
-    "probabilities_to_polynomial",
-    "probability_from_coefficients",
-    "random_matching_instance",
-    "reduce_matching_to_riffle",
-    "reduce_matching_to_riffle_bracketed",
-    "reduce_riffle_to_mincuts",
-    "riffle_witness_ok",
-    "riffles_to_packets",
-    "sample_a_shuffle",
-    "sample_digit_sequence",
-    "sample_uniform_rearrangement",
-    "sample_uniform_transition",
-    "scenario",
-    "scenario_names",
-    "sequence_to_permutation",
-    "shuffle_weights",
-    "solve_matching",
-    "solve_mincuts",
-    "solve_riffle",
-    "strided_descent_counts",
-    "strided_total",
-    "tail_extrapolate",
-    "transition_cardinality",
-]
+__all__ = sorted(_LAZY_MODULE)
 
 
 def __getattr__(name: str):

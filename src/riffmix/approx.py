@@ -25,10 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .deck import Deck, label_positions, transition_cardinality
 from .errors import CapExceededError, DegenerateDistributionError
-from .descentpoly import DescentHistogram
+
+if TYPE_CHECKING:
+    from .descentpoly import DescentHistogram
 
 
 @dataclass(frozen=True)

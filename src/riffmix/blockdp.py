@@ -28,22 +28,31 @@ def is_block(deck: Deck) -> bool:
     return 1 + sum(map(operator.ne, cards, cards[1:])) == len(deck.counts)
 
 
-def _pack(values: Iterable[int], bits: int) -> int:
-    """One int holding `values` in slots of `bits` bits, the first lowest."""
-    return sum(v << bits * d for d, v in enumerate(values))
+def _pack(values: Iterable[int], width: int) -> int:
+    """One int holding `values` in slots of `width` bytes, the first lowest."""
+    raw = b"".join(v.to_bytes(width, "little") for v in values)
+    return int.from_bytes(raw, "little")
+
+
+def _slots(packed: int, n: int, width: int) -> list[bytes]:
+    """The `n` slots of `width` bytes of a packed int, the first lowest."""
+    raw = packed.to_bytes(n * width, "little")
+    return [raw[i : i + width] for i in range(0, len(raw), width)]
 
 
 @lru_cache(maxsize=256)
-def _step_kernels(m: int, n: int, bits: int) -> tuple[tuple[int, ...], ...]:
+def _step_kernels(m: int, n: int, width: int) -> tuple[tuple[int, ...], ...]:
     """U_e and V_e of `source_counts` for e = 0..m-1, each packed
     over δ = 0..n-1; pairs sharing a block deck share them."""
     return (
         tuple(
-            _pack((d ** (m - 1 - e) * (d + 1) ** e for d in range(n)), bits)
+            _pack((d ** (m - 1 - e) * (d + 1) ** e for d in range(n)), width)
             for e in range(m)
         ),
         tuple(
-            _pack((d ** (m - 1 - e) * (d - 1) ** e if d else 0 for d in range(n)), bits)
+            _pack(
+                (d ** (m - 1 - e) * (d - 1) ** e if d else 0 for d in range(n)), width
+            )
             for e in range(m)
         ),
     )
@@ -63,18 +72,19 @@ def source_counts(d1: Deck, d2: Deck) -> list[int]:
     (e = k - 1 - i, δ >= 1).  States are summed by k first, then
     convolved over D.
 
-    A state is one int whose bits [D*bits, (D+1)*bits) hold its count at
-    D, so that multiplying it by a packed kernel convolves over D; the
-    mask drops D >= n, which no count(a) with a <= n reads.  A kept slot
-    counts words with digits below n on the c positions read so far,
-    fewer than 2^bits with bits = c * bit_length(n), so it takes no
+    A state is one int whose bytes [D*width, (D+1)*width) hold its
+    count at D, so that multiplying it by a packed kernel convolves over
+    D; the mask drops D >= n, which no count(a) with a <= n reads.  A
+    kept slot counts words with digits below n on the c positions read so
+    far, fewer than 2^(c * bit_length(n)) <= 2^(8 * width), so it takes no
     carry: products carry only upward, into the slots the mask drops.
+    Whole-byte slots are widened by copying bytes.
     """
     n = d1.n
     tgt = label_positions(d2)
     last = list(d1.counts)[-1]
     # Before the first label, (D, j) = (0, 0) bounds nothing.
-    states, bits, read = {0: 1}, 1, 0
+    states, width, read = {0: 1}, 1, 0
     for lab in d1.counts:
         pos = tgt[lab]
         m = len(pos)
@@ -82,15 +92,16 @@ def source_counts(d1: Deck, d2: Deck) -> list[int]:
         for j, row in states.items():
             k = bisect_left(pos, j)
             by_k[k] = by_k.get(k, 0) + row
-        # Widen the slots for the label's m positions.
+        # Widen the slots for the label's m positions: the high zero
+        # bytes joined after each slot.
         read += m
-        old_bits, bits = bits, read * n.bit_length()
-        mask, slot = (1 << n * bits) - 1, (1 << old_bits) - 1
+        old, width = width, -(-read * n.bit_length() // 8)
+        mask, pad = (1 << 8 * n * width) - 1, bytes(width - old)
         by_k = {
-            k: _pack(((row >> old_bits * d) & slot for d in range(n)), bits)
+            k: int.from_bytes(pad.join(_slots(row, n, old)), "little")
             for k, row in by_k.items()
         }
-        up, down = _step_kernels(m, n, bits)
+        up, down = _step_kernels(m, n, width)
         kernels = {
             k: [up[i - k] if i >= k else down[k - 1 - i] for i in range(m)]
             for k in by_k
@@ -104,8 +115,11 @@ def source_counts(d1: Deck, d2: Deck) -> list[int]:
                 for i, p in enumerate(pos)
             }
     total = sum(states.values())
-    slot = (1 << bits) - 1
-    return list(itertools.accumulate((total >> bits * d) & slot for d in range(n)))
+    return list(
+        itertools.accumulate(
+            int.from_bytes(slot, "little") for slot in _slots(total, n, width)
+        )
+    )
 
 
 def target_counts(d1: Deck, d2: Deck) -> list[int]:

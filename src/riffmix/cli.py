@@ -26,13 +26,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .deck import Deck, deck_text, parse_deck
-from .descentpoly import (
-    eulerian_row,
-    exact_descent_polynomial,
-    mc_descent_histogram,
-)
 from .errors import RiffmixError
-from .rng import substream, PURPOSE_INSTANCE_GEN
 from .tvd import (
     Scenario,
     custom_scenario,
@@ -287,6 +281,8 @@ def cmd_tvd(args: argparse.Namespace) -> int:
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
+    from .descentpoly import exact_descent_polynomial, mc_descent_histogram
+
     d1 = _deck_arg(args.source)
     d2 = _deck_arg(args.target)
     n = d1.n
@@ -354,6 +350,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 def _gen_instances(args: argparse.Namespace) -> list[MatchingInstance]:
     from .hardness import random_matching_instance
+    from .rng import PURPOSE_INSTANCE_GEN, substream
 
     for flag, value, least in (
         ("--count", args.count, 0),
@@ -519,6 +516,7 @@ def cmd_explore_classes(args: argparse.Namespace) -> int:
 
 
 def cmd_explore_modh(args: argparse.Namespace) -> int:
+    from .descentpoly import eulerian_row
     from .hardness import strided_descent_counts, strided_total
 
     counts = strided_descent_counts(args.n, args.h, cap=args.cap)

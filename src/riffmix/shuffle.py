@@ -7,18 +7,33 @@ position `i` then receives the next unused card of packet `digits[i]`,
 so each packet stays in relative order.  Drawing the digits i.i.d.
 uniform gives the standard model of a riffle-style shuffle; `a = 2^k`
 corresponds to `k` successive two-packet riffles.
+
+The chance that such a shuffle realizes a permutation depends only on its
+descent count, through the integer weights of `shuffle_weights`.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from .deck import Permutation, descents
-from .descentpoly import shuffle_weights
 from .rng import PURPOSE_TRANSITION_SAMPLE, substream
+
+
+def shuffle_weights(n: int, a: int) -> tuple[tuple[int, ...], int]:
+    """Integer weights C(a+n-d-1, n) for d = 0..n-1, and the denominator
+    a^n, of the shuffle probability formula at packet count `a`.
+
+    The weight of degree `d` counts the digit sequences realizing one
+    permutation with `d` descents, so it vanishes exactly when d >= a.
+    """
+    if a < 1:
+        raise ValueError("packet count must be at least 1")
+    return tuple(math.comb(a + n - d - 1, n) for d in range(n)), a**n
 
 
 def sequence_to_permutation(digits: tuple[int, ...], a: int) -> Permutation:

@@ -26,7 +26,6 @@ which is unbiased and concentrates at rate 1/sqrt(k): the chance that
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 from collections import Counter
@@ -37,7 +36,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .blockdp import is_block
 from .deck import (
     Deck,
     _capped_cardinality,
@@ -46,14 +44,6 @@ from .deck import (
     enumerate_arrangements,
     parse_deck,
     sample_uniform_rearrangement,
-)
-from .descentpoly import (
-    _SWEEP_MAX_N,
-    descent_polynomial_family,
-    eulerian_row,
-    exact_descent_polynomial,
-    mc_descent_histogram,
-    shuffle_weights,
 )
 from .errors import CapExceededError
 from .rng import PURPOSE_TVD, substream
@@ -187,6 +177,10 @@ def exact_tvd_curve(
     when the deck is not a block deck (a block deck's pairs take a DP).
     The caps pick no route.
     """
+    from .blockdp import is_block
+    from .descentpoly import _SWEEP_MAX_N, descent_polynomial_family, eulerian_row
+    from .shuffle import shuffle_weights
+
     n = s.anchor.n
     weighted = [shuffle_weights(n, a) for a in packets]
     count = s.arrangements
@@ -268,6 +262,8 @@ def _alpha_bounds(k: int) -> tuple[tuple[float, float, float], ...]:
 
 
 def _deck_fingerprint(deck: Deck) -> int:
+    import hashlib
+
     digest = hashlib.sha256(deck_text(deck).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -276,6 +272,8 @@ def _exact_coefficients(
     s: Scenario, counterpart: Deck, transition_cap: int
 ) -> tuple[int, ...]:
     """Exact transition polynomial."""
+    from .descentpoly import exact_descent_polynomial
+
     return exact_descent_polynomial(*s.pair(counterpart), cap=transition_cap).coefficients
 
 
@@ -297,6 +295,8 @@ def _histogram_coefficients(
     the window is automatic and the histogram too sparse for a fit, the
     estimates stay unpatched and the cards are appended to `unfitted`.
     A fitted vector takes the exact c_0 instead of any estimate."""
+    from .descentpoly import mc_descent_histogram
+
     d1, d2 = s.pair(counterpart)
     hist_seed = (_deck_fingerprint(counterpart) ^ seed) & ((1 << 63) - 1)
     hist = mc_descent_histogram(
@@ -414,10 +414,16 @@ def mc_tvd_curve(
     unproven: list[tuple[str, ...]] | None = None
     unfitted: list[tuple[str, ...]] | None = None
     uninformed: list[int] | None = None
+    # Each branch loads the modules its backend runs before the first
+    # arrangement is drawn: compiled after the draws, they raise peak RSS.
     if backend == "exact-oracle":
+        from . import blockdp, descentpoly  # noqa: F401
+
         method = "mc-exact-backend"
         coefficients = partial(_exact_coefficients, transition_cap=transition_cap)
     elif backend == "mc-histogram":
+        from . import cache, descentpoly, tables  # noqa: F401
+
         method = backend
         uninformed = [0] * len(packets)
         if extrapolate and window is None:
@@ -445,6 +451,8 @@ def mc_tvd_curve(
         )
     else:
         raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
+    from .shuffle import shuffle_weights
+
     weighted = [shuffle_weights(s.anchor.n, a) for a in packets]
     count = s.arrangements
     memo: dict[tuple[str, ...], list[float]] = {}

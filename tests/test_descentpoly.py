@@ -32,22 +32,19 @@ from riffmix import (
     shuffle_weights,
 )
 from riffmix import cache as cache_mod
-from riffmix import descentpoly
+from riffmix import tables as tables_mod
 from riffmix.descentpoly import (
     _BLOCK_SAMPLES,
     _CHECKPOINT_BLOCKS,
-    _DRAW_CELLS,
     _SAMPLE_TABLE_MAX_MULT,
-    _SCORE_CELLS,
-    _SCORE_COLUMNS,
     _TABLE_MAX_MULT,
     SAMPLER_VERSION,
     _coefficients_from_counts,
     _counts_plain,
     _counts_vectorized,
-    _LabelTables,
     _perm_table,
 )
+from riffmix.tables import _DRAW_CELLS, _SCORE_CELLS, _SCORE_COLUMNS, _LabelTables
 from riffmix.blockdp import is_block, source_counts, target_counts
 from riffmix.deck import (
     Permutation,
@@ -920,7 +917,7 @@ def test_full_cache_hit_builds_no_tables(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("a full cache hit built label tables")
 
-    monkeypatch.setattr(descentpoly, "_LabelTables", refuse)
+    monkeypatch.setattr(tables_mod, "_LabelTables", refuse)
     again = mc_descent_histogram(d1, d2, 3000, seed=10, cache_dir=tmp_path)
     assert again.counts == first.counts
 

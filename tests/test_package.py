@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -25,15 +27,15 @@ def test_submodule_exports_are_reexported():
         assert set(module.__all__) <= exported, module.__name__
 
 
-def test_importing_the_cli_leaves_unused_layers_unloaded():
-    # The package re-exports these modules' names on first use, and the
-    # CLI imports them inside the commands that run them.
-    probe = (
-        "import sys, riffmix.cli\n"
-        "lazy = ('riffmix.approx', 'riffmix.hardness', 'riffmix.shuffle')\n"
-        "print([m for m in lazy if m in sys.modules])\n"
+def _loaded_modules(code: str) -> list[str]:
+    """The `riffmix` modules a fresh interpreter holds after running
+    `code`, which may print nothing else to stdout."""
+    probe = code + (
+        "\nimport sys\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('riffmix.'))))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(riffmix.__file__).parents[1]))
+    env.pop("RIFFMIX_CACHE_DIR", None)
     res = subprocess.run(
         [sys.executable, "-c", probe],
         env=env,
@@ -42,4 +44,78 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
         timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "[]\n"
+    return res.stdout.split()
+
+
+def _command_modules(argv: list[str], exit_code: int) -> list[str]:
+    """The `riffmix` modules loaded by one CLI command, whose output is
+    discarded; the command must exit with `exit_code`."""
+    code = (
+        "import contextlib, io, riffmix.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = riffmix.cli.main({argv!r})\n"
+        f"assert rc == {exit_code}, rc\n"
+    )
+    return _loaded_modules(code)
+
+
+def test_importing_the_cli_leaves_unused_layers_unloaded():
+    # The package re-exports these modules' names on first use, and the
+    # CLI imports them inside the commands that run them.
+    loaded = _loaded_modules("import riffmix.cli")
+    lazy = ("riffmix.approx", "riffmix.hardness", "riffmix.shuffle")
+    assert [m for m in lazy if m in loaded] == []
+    # Set-up alone (a scenario resolved, then an empty shuffle range) and
+    # the normal backend run no descent-polynomial engine.
+    engines = (
+        "riffmix.blockdp",
+        "riffmix.cache",
+        "riffmix.codes",
+        "riffmix.descentpoly",
+        "riffmix.tables",
+    )
+    bridge = ["tvd", "--scenario", "Bridge1"]
+    for argv, exit_code in (
+        (bridge + ["--shuffles", "1..0"], 2),
+        (bridge + ["--shuffles", "3", "--method", "mc-normal", "--k", "2"], 0),
+    ):
+        loaded = _command_modules(argv, exit_code)
+        assert [m for m in engines if m in loaded] == [], argv
+        assert "riffmix.tvd" in loaded
+    # The exact backend runs the block-deck DP, but neither the table
+    # engine nor the histogram cache.
+    argv = ["tvd", "--deck", "1^3,2^8", "--kind", "fixed-source"]
+    argv += ["--shuffles", "2", "--method", "mc-exact", "--k", "2"]
+    loaded = _command_modules(argv, 0)
+    assert "riffmix.blockdp" in loaded
+    unused = ("riffmix.cache", "riffmix.codes", "riffmix.tables")
+    assert [m for m in unused if m in loaded] == []
+    # The histogram backend runs the table engine, but not the DP.
+    argv = ["tvd", "--deck", "1^2,2^2", "--kind", "fixed-source", "--shuffles", "2"]
+    argv += ["--method", "mc-hist", "--k", "2", "--hist-samples", "100"]
+    loaded = _command_modules(argv, 0)
+    assert "riffmix.tables" in loaded
+    assert [m for m in ("riffmix.approx", "riffmix.blockdp") if m in loaded] == []
+
+
+def test_every_traced_layer_resolves():
+    # perfbench/tracer.py wraps each layer's entry point by module and
+    # name; a target that does not resolve reads as a blank layer metric.
+    # Two targets name functions deleted before the tracer was revised.
+    tracer = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text())
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    )
+    unresolved = {
+        (module, name)
+        for _, module, name, _ in targets
+        if not callable(
+            getattr(importlib.import_module(f"riffmix.{module}"), name, None)
+        )
+    }
+    assert unresolved <= {("tvd", "mc_tvd"), ("tvd", "exact_tvd_small")}
+    assert ("descentpoly", "mc_descent_histogram") in {t[1:3] for t in targets}

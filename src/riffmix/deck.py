@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import CapExceededError, DeckParseError, SignatureMismatchError
-from .rng import PURPOSE_TRANSITION_SAMPLE, substream
+from .rng import PURPOSE_TRANSITION_SAMPLE, PermutationStream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # ---------------------------------------------------------------------------
 # Core types
@@ -307,12 +309,19 @@ def enumerate_transitions(
 
 
 def sample_uniform_transition(
-    source: Deck, target: Deck, gen: np.random.Generator | int
+    source: Deck,
+    target: Deck,
+    gen: PermutationStream | np.random.Generator | int,
 ) -> Permutation:
-    """Draw uniformly from the permutations carrying `source` onto `target`."""
+    """Draw uniformly from the permutations carrying `source` onto `target`.
+
+    An int `gen` is a seed: the draw is the one the numpy Generator
+    `substream(gen, PURPOSE_TRANSITION_SAMPLE)` would make, made in pure
+    Python.
+    """
     _check_same_multiset(source, target)
-    if isinstance(gen, (int, np.integer)):
-        gen = substream(int(gen), PURPOSE_TRANSITION_SAMPLE)
+    if isinstance(gen, numbers.Integral):
+        gen = PermutationStream(int(gen), PURPOSE_TRANSITION_SAMPLE)
     src_pos = label_positions(source)
     tgt_pos = label_positions(target)
     images = [0] * source.n
@@ -366,10 +375,13 @@ def enumerate_arrangements(deck: Deck, cap: int = 10**7) -> Iterator[Deck]:
 
 
 def sample_uniform_rearrangement(
-    deck: Deck, gen: np.random.Generator | int
+    deck: Deck, gen: PermutationStream | np.random.Generator | int
 ) -> Deck:
-    """Draw uniformly from the distinct orderings of the deck's cards."""
-    if isinstance(gen, (int, np.integer)):
-        gen = substream(int(gen), PURPOSE_TRANSITION_SAMPLE)
+    """Draw uniformly from the distinct orderings of the deck's cards.
+
+    An int `gen` is a seed, drawn from as `sample_uniform_transition` does.
+    """
+    if isinstance(gen, numbers.Integral):
+        gen = PermutationStream(int(gen), PURPOSE_TRANSITION_SAMPLE)
     cards = deck.cards
-    return Deck(tuple([cards[i] for i in gen.permutation(deck.n).tolist()]))
+    return Deck(tuple([cards[i] for i in gen.permutation(deck.n)]))

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .deck import (
     Deck,
@@ -35,6 +34,9 @@ from .deck import (
 from .errors import CapExceededError, InconsistentProbabilitiesError
 from .rng import PURPOSE_HISTOGRAM, substream
 from .shuffle import shuffle_weights
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Transition sets at or below this size are enumerated in pure Python;
 # larger ones go through a block-deck DP or the vectorized engine.
@@ -153,6 +155,8 @@ def _counts_vectorized(d1: Deck, d2: Deck) -> list[int]:
     rows per unit (the last unit varies fastest), each weighted by the
     number of members it stands for.
     """
+    import numpy as np
+
     from .tables import _LabelTables
 
     n = d1.n
@@ -222,6 +226,8 @@ def exact_descent_polynomial(
 @lru_cache(maxsize=None)
 def _perm_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All n! permutations of 0..n-1 (rows, lex order) and their descents."""
+    import numpy as np
+
     if n > _SWEEP_MAX_N:
         raise CapExceededError(
             f"permutation sweep supports up to {_SWEEP_MAX_N} cards, got {n}"
@@ -246,6 +252,8 @@ def _perm_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _label_digits(deck: Deck) -> tuple[tuple[str, ...], np.ndarray]:
     """The deck's labels in first-appearance order, and each card's
     index among them: its base-h digit, h being the label count."""
+    import numpy as np
+
     labels = tuple(deck.counts)
     index = {lab: e for e, lab in enumerate(labels)}
     return labels, np.array([index[c] for c in deck.cards], dtype=np.int64)
@@ -272,6 +280,8 @@ def _source_codes(exp: np.ndarray, h: int) -> np.ndarray:
     Building them one card at a time, from the last, takes a few passes
     over n! values and no gathers.
     """
+    import numpy as np
+
     code = exp[-1:].copy()
     for k, e in enumerate(exp[-2::-1], start=2):
         out = np.empty((k, len(code)), dtype=np.int64)
@@ -320,7 +330,7 @@ class PolynomialFamily:
 
     def polynomial(self, counterpart: Deck) -> DescentPolynomial:
         code = self.encode(counterpart)
-        rows = np.nonzero(self.codes == code)[0]
+        rows = (self.codes == code).nonzero()[0]
         if len(rows) != 1:
             raise KeyError(f"counterpart not found: {deck_text(counterpart)}")
         return self._row(rows[0], counterpart)
@@ -343,6 +353,8 @@ def descent_polynomial_family(
     row sums equal the transition cardinality and every counterpart
     arrangement appears.  Requires n <= 10, which `_perm_table` enforces.
     """
+    import numpy as np
+
     if role not in ("source", "target"):
         raise ValueError(f"role must be 'source' or 'target', got {role!r}")
     n = anchor.n
@@ -392,6 +404,8 @@ def digit_transition_counts(
     """Count, over all a^n digit sequences, the decks an `a`-way shuffle
     of `d1` produces.  P(d1 -> d2) is then counts[d2] / a^n.
     """
+    import numpy as np
+
     if a < 1:
         raise ValueError("packet count must be at least 1")
     n = d1.n
@@ -447,6 +461,8 @@ def mc_descent_histogram(
     and at the end, and reused, so a finished run is served whole and an
     interrupted one resumes from its last store.
     """
+    import numpy as np
+
     from . import cache as _cache
     from .tables import _LabelTables
 

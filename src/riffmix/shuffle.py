@@ -15,13 +15,16 @@ descent count, through the integer weights of `shuffle_weights`.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .deck import Permutation, descents
 from .rng import PURPOSE_TRANSITION_SAMPLE, substream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def shuffle_weights(n: int, a: int) -> tuple[tuple[int, ...], int]:
@@ -67,7 +70,7 @@ def sample_digit_sequence(
     """Draw `n` i.i.d. uniform digits from 1..a."""
     if a < 1:
         raise ValueError("packet count must be at least 1")
-    if isinstance(gen, (int, np.integer)):
+    if isinstance(gen, numbers.Integral):
         gen = substream(int(gen), PURPOSE_TRANSITION_SAMPLE)
     return tuple(int(d) for d in gen.integers(1, a + 1, size=n))
 

@@ -46,7 +46,7 @@ from .deck import (
     sample_uniform_rearrangement,
 )
 from .errors import CapExceededError
-from .rng import PURPOSE_TVD, substream
+from .rng import PURPOSE_TVD, PermutationStream
 
 if TYPE_CHECKING:
     from .approx import PairStatistics
@@ -403,7 +403,7 @@ def mc_tvd_curve(
       proven error regime.
 
     Arrangements are drawn once for all packet counts, all `k` from
-    `substream(seed, PURPOSE_TVD)`, and each value is the correctly
+    `PermutationStream(seed, PURPOSE_TVD)`, and each value is the correctly
     rounded `math.fsum` of the `k` terms over `k`, so it depends only on
     the arguments.  Repeated arrangements reuse their first terms, and
     histogram seeds are derived from the arrangement itself, so reuse is
@@ -456,7 +456,7 @@ def mc_tvd_curve(
     weighted = [shuffle_weights(s.anchor.n, a) for a in packets]
     count = s.arrangements
     memo: dict[tuple[str, ...], list[float]] = {}
-    gen = substream(seed, PURPOSE_TVD)
+    gen = PermutationStream(seed, PURPOSE_TVD)
     draws = []
     for _ in range(k):
         counterpart = sample_uniform_rearrangement(s.anchor, gen)

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from riffmix import (
@@ -23,11 +24,12 @@ from riffmix import (
     is_transition,
     label_positions,
     parse_deck,
+    sample_digit_sequence,
     sample_uniform_rearrangement,
     sample_uniform_transition,
     transition_cardinality,
 )
-from riffmix.rng import substream
+from riffmix.rng import PURPOSE_TRANSITION_SAMPLE, substream
 
 
 def brute_transitions(d1: Deck, d2: Deck) -> set[tuple[int, ...]]:
@@ -298,6 +300,23 @@ def test_sample_rearrangement_uniform_and_deterministic():
         sample_uniform_rearrangement(d, 5).cards
         == sample_uniform_rearrangement(d, 5).cards
     )
+
+
+@pytest.mark.parametrize("seed", [0, 77, 2**40])
+def test_seeded_samplers_draw_what_their_generator_draws(seed):
+    # An int seed, a numpy integer seed and the Generator it names give
+    # the same draw; the int seeds go through the pure-Python stream.
+    d1 = parse_deck("1^3,2^4,3,1^2")
+    d2 = parse_deck("2^2,1^5,3,2^2")
+    draws = (
+        lambda gen: sample_uniform_rearrangement(d1, gen).cards,
+        lambda gen: sample_uniform_transition(d1, d2, gen).images,
+        lambda gen: sample_digit_sequence(9, 4, gen),
+    )
+    for draw in draws:
+        want = draw(substream(seed, PURPOSE_TRANSITION_SAMPLE))
+        assert draw(seed) == want
+        assert draw(np.int64(seed)) == want
 
 
 def test_sampled_transition_is_always_a_transition():

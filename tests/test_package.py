@@ -28,11 +28,13 @@ def test_submodule_exports_are_reexported():
 
 
 def _loaded_modules(code: str) -> list[str]:
-    """The `riffmix` modules a fresh interpreter holds after running
-    `code`, which may print nothing else to stdout."""
+    """The `riffmix` modules, and `numpy` if loaded, that a fresh
+    interpreter holds after running `code`, which may print nothing else
+    to stdout."""
     probe = code + (
         "\nimport sys\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('riffmix.'))))\n"
+        "print(' '.join(sorted(m for m in sys.modules"
+        " if m.startswith('riffmix.') or m == 'numpy')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(riffmix.__file__).parents[1]))
     env.pop("RIFFMIX_CACHE_DIR", None)
@@ -66,7 +68,8 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
     lazy = ("riffmix.approx", "riffmix.hardness", "riffmix.shuffle")
     assert [m for m in lazy if m in loaded] == []
     # Set-up alone (a scenario resolved, then an empty shuffle range) and
-    # the normal backend run no descent-polynomial engine.
+    # the normal backend run no descent-polynomial engine.  numpy loads only
+    # where a vectorized engine runs, so these leave it unloaded.
     engines = (
         "riffmix.blockdp",
         "riffmix.cache",
@@ -82,20 +85,33 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
         loaded = _command_modules(argv, exit_code)
         assert [m for m in engines if m in loaded] == [], argv
         assert "riffmix.tvd" in loaded
+        assert "numpy" not in loaded, argv
     # The exact backend runs the block-deck DP, but neither the table
     # engine nor the histogram cache.
     argv = ["tvd", "--deck", "1^3,2^8", "--kind", "fixed-source"]
     argv += ["--shuffles", "2", "--method", "mc-exact", "--k", "2"]
     loaded = _command_modules(argv, 0)
     assert "riffmix.blockdp" in loaded
-    unused = ("riffmix.cache", "riffmix.codes", "riffmix.tables")
+    unused = ("riffmix.cache", "riffmix.codes", "riffmix.tables", "numpy")
     assert [m for m in unused if m in loaded] == []
+    # The closed form and a README polynomial small enough to enumerate in
+    # pure Python.
+    for argv in (
+        ["bd", "--n", "52", "--shuffles", "5..8"],
+        ["poly", "--source", "1^2,2^2", "--target", "1,2,1,2", "--format", "text"],
+    ):
+        assert "numpy" not in _command_modules(argv, 0), argv
     # The histogram backend runs the table engine, but not the DP.
     argv = ["tvd", "--deck", "1^2,2^2", "--kind", "fixed-source", "--shuffles", "2"]
     argv += ["--method", "mc-hist", "--k", "2", "--hist-samples", "100"]
     loaded = _command_modules(argv, 0)
     assert "riffmix.tables" in loaded
+    assert "numpy" in loaded
     assert [m for m in ("riffmix.approx", "riffmix.blockdp") if m in loaded] == []
+    # The n! sweep is vectorized.
+    argv = ["tvd", "--deck", "1^2,2^2,3^2,4^2,5", "--kind", "fixed-source"]
+    argv += ["--shuffles", "1", "--method", "exact"]
+    assert "numpy" in _command_modules(argv, 0)
 
 
 def test_every_traced_layer_resolves():

@@ -29,7 +29,7 @@ from riffmix.descentpoly import (  # noqa: E402
     _coefficients_from_counts,
     _counts_vectorized,
 )
-from riffmix.rng import substream  # noqa: E402
+from riffmix.rng import PermutationStream, substream  # noqa: E402
 
 
 def deck_lists(labels: int, size: int):
@@ -135,3 +135,16 @@ def test_block_dp_matches_enumeration_in_both_roles(pair):
     ):
         coeffs = _coefficients_from_counts(counts(d1, d2))
         assert coeffs == _counts_vectorized(d1, d2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**140),
+    st.lists(st.integers(0, 2**40), max_size=3),
+    st.lists(st.integers(0, 70), min_size=1, max_size=4),
+)
+def test_permutation_stream_matches_numpy(seed, path, sizes):
+    ours = PermutationStream(seed, *path)
+    theirs = substream(seed, *path)
+    for n in sizes:
+        assert ours.permutation(n) == theirs.permutation(n).tolist()

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import riffmix
-from riffmix.rng import substream
+from riffmix.rng import PermutationStream, substream
 
 
 def test_substream_is_reproducible_and_path_sensitive():
@@ -28,9 +28,31 @@ def test_substream_is_reproducible_and_path_sensitive():
     [(-1, (1,), [0]), (-(2**70), (1,), [0]), (3, (-1,), [0]), (3, (1,), [-1])],
 )
 def test_substream_rejects_negative_words(seed, path, indices):
-    # SeedSequence rejects a negative seed or path word.
+    # SeedSequence rejects a negative seed or path word, and so does the
+    # pure-Python copy of its stream.
     with pytest.raises(ValueError):
         substream(seed, *path, *indices)
+    with pytest.raises(ValueError):
+        PermutationStream(seed, *path, *indices)
+
+
+# Sizes around the mask boundaries of the rejection draws; consecutive
+# calls consume odd numbers of 32-bit draws, so the spare half of a
+# 64-bit output carries over from one call to the next.
+_SIZES = (0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 52, 65)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**130])
+@pytest.mark.parametrize(
+    "path",
+    [(), (2,), (4, 2**32), (2**40 - 1, 0, 2**33 + 5), (2**32 - 1, 1, 2**64)],
+)
+def test_permutation_stream_is_the_generators_stream(seed, path):
+    # numpy is the oracle: the same seed and path give the same lists.
+    ours = PermutationStream(seed, *path)
+    theirs = substream(seed, *path)
+    for n in _SIZES + _SIZES[::-1]:
+        assert ours.permutation(n) == theirs.permutation(n).tolist(), n
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():

@@ -459,12 +459,13 @@ def mc_descent_histogram(
     counts, so it depends only on (decks, samples, seed).  With a cache
     directory, counts are stored after every `_CHECKPOINT_BLOCKS` blocks
     and at the end, and reused, so a finished run is served whole and an
-    interrupted one resumes from its last store.
+    interrupted one resumes from its last store.  A stored file whose
+    counts its completed blocks cannot have drawn (a negative count, or
+    a total other than their samples) is redrawn.  The table engine and
+    numpy load only when a block is left to draw, so a full cache hit
+    runs no sampler.
     """
-    import numpy as np
-
     from . import cache as _cache
-    from .tables import _LabelTables
 
     transition_cardinality(d1, d2)
     if samples < 1:
@@ -476,32 +477,34 @@ def mc_descent_histogram(
     key = _cache.HistogramKey(
         deck_text(d1), deck_text(d2), samples, seed, blocks, SAMPLER_VERSION
     )
-    counts = np.zeros(n, dtype=np.int64)
+    counts = [0] * n
     first_block = 0
     if cache_dir is not None:
         # An unusable directory is refused before any sampling.
         cache_dir = _cache.ensure_dir(cache_dir)
         cached = _cache.load(cache_dir, key)
-        if cached is not None and len(cached[0]) == n:
+        if cached is not None:
             stored, completed = cached
-            counts = np.array(stored, dtype=np.int64)
-            first_block = completed
-    # A full cache hit draws nothing, so it builds no tables.
+            drawn = min(completed * _BLOCK_SAMPLES, samples)
+            if len(stored) == n and min(stored) >= 0 and sum(stored) == drawn:
+                counts = list(stored)
+                first_block = completed
     if first_block < blocks:
+        from .tables import _LabelTables
+
         tables = _LabelTables(d1, d2, _SAMPLE_TABLE_MAX_MULT)
     step = blocks if cache_dir is None else _CHECKPOINT_BLOCKS
     for start in range(first_block, blocks, step):
         stop = min(start + step, blocks)
         run = range(start, stop)
-        counts += tables.sample_counts(
+        added = tables.sample_counts(
             [min(_BLOCK_SAMPLES, samples - b * _BLOCK_SAMPLES) for b in run],
             (substream(seed, PURPOSE_HISTOGRAM, b) for b in run),
         )
+        counts = list(map(operator.add, counts, added.tolist()))
         if cache_dir is not None:
-            _cache.store(cache_dir, key, [int(c) for c in counts], stop)
-    return DescentHistogram(
-        d1, d2, tuple(int(c) for c in counts), samples, seed
-    )
+            _cache.store(cache_dir, key, counts, stop)
+    return DescentHistogram(d1, d2, tuple(counts), samples, seed)
 
 
 # ---------------------------------------------------------------------------

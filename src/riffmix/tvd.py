@@ -416,13 +416,16 @@ def mc_tvd_curve(
     uninformed: list[int] | None = None
     # Each branch loads the modules its backend runs before the first
     # arrangement is drawn: compiled after the draws, they raise peak RSS.
+    # The histogram sampler is the exception: `mc_descent_histogram` loads
+    # `tables`, `codes` and numpy only when it has a block to draw, so a
+    # run whose histograms are all cached loads none of them.
     if backend == "exact-oracle":
         from . import blockdp, descentpoly  # noqa: F401
 
         method = "mc-exact-backend"
         coefficients = partial(_exact_coefficients, transition_cap=transition_cap)
     elif backend == "mc-histogram":
-        from . import cache, descentpoly, tables  # noqa: F401
+        from . import cache, descentpoly  # noqa: F401
 
         method = backend
         uninformed = [0] * len(packets)

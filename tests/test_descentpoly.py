@@ -974,6 +974,31 @@ def test_histogram_cache_skips_other_samplers(tmp_path):
         assert path.read_text() == text
 
 
+def test_histogram_cache_redraws_impossible_counts(tmp_path):
+    d1 = parse_deck("1,1,2,2")
+    d2 = parse_deck("2,1,1,2")
+    fresh = mc_descent_histogram(d1, d2, 3000, seed=10, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    text = path.read_text()
+    counts = "counts=" + ",".join(map(str, fresh.counts))
+    done = "completed=1\n"
+    assert counts in text and done in text
+    impossible = [
+        # A negative count, with the right total.
+        text.replace(counts, "counts=-5,3005,0,0"),
+        # A total other than the samples of the completed block.
+        text.replace(counts, "counts=-5,0,0,9"),
+        text.replace(counts, "counts=7,7,7,7"),
+        # Counts in a file that completed no block.
+        text.replace(done, "completed=0\n"),
+    ]
+    for body in impossible:
+        path.write_text(body)
+        again = mc_descent_histogram(d1, d2, 3000, seed=10, cache_dir=tmp_path)
+        assert again.counts == fresh.counts
+        assert path.read_text() == text
+
+
 def test_histogram_resume_matches_uninterrupted(tmp_path, monkeypatch):
     check_resume(tmp_path, monkeypatch, "1,2,1,2,1", "1,1,2,2,1")
 

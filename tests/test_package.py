@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -28,9 +29,14 @@ def test_submodule_exports_are_reexported():
 
 
 def _loaded_modules(code: str) -> list[str]:
-    """The `riffmix` modules, and `numpy` if loaded, that a fresh
-    interpreter holds after running `code`, which may print nothing else
-    to stdout."""
+    """The modules `_probe` lists after running `code`, which may print
+    nothing else to stdout."""
+    return _probe(code).split()
+
+
+def _probe(code: str) -> str:
+    """The stdout of a fresh interpreter that runs `code`, then prints
+    the `riffmix` modules, and `numpy` if loaded, that it holds."""
     probe = code + (
         "\nimport sys\n"
         "print(' '.join(sorted(m for m in sys.modules"
@@ -46,7 +52,7 @@ def _loaded_modules(code: str) -> list[str]:
         timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    return res.stdout.split()
+    return res.stdout
 
 
 def _command_modules(argv: list[str], exit_code: int) -> list[str]:
@@ -112,6 +118,62 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
     argv = ["tvd", "--deck", "1^2,2^2,3^2,4^2,5", "--kind", "fixed-source"]
     argv += ["--shuffles", "1", "--method", "exact"]
     assert "numpy" in _command_modules(argv, 0)
+
+
+def _command_output(argv: list[str]) -> tuple[str, str, list[str]]:
+    """The stdout, stderr and loaded modules (as in `_loaded_modules`) of
+    one CLI command, which must exit with 0."""
+    code = (
+        "import contextlib, io, json, riffmix.cli\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        f"    rc = riffmix.cli.main({argv!r})\n"
+        "assert rc == 0, (rc, err.getvalue())\n"
+        "print(json.dumps([out.getvalue(), err.getvalue()]))\n"
+    )
+    first, modules = _probe(code).splitlines()
+    out, err = json.loads(first)
+    return out, err, modules.split()
+
+
+def test_fully_cached_histograms_load_no_sampler(tmp_path):
+    sampler = ("numpy", "riffmix.codes", "riffmix.tables")
+    # The 8-card label is drawn as insertion codes; the other deck's labels
+    # all take permutation tables.
+    for deck in ("1^8,2^2", "1^2,2^2,3^2"):
+        cache_dir = tmp_path / deck
+        argv = ["tvd", "--deck", deck, "--kind", "fixed-source"]
+        argv += ["--shuffles", "1..3", "--method", "mc-hist", "--k", "3"]
+        argv += ["--hist-samples", "200", "--cache-dir", str(cache_dir)]
+        written = _command_output(argv)
+        assert [m for m in sampler if m not in written[2]] == [], deck
+        # Each printed line is kept, the uninformed count on stderr too.
+        assert "no estimated coefficient" in written[1], deck
+        files = sorted(cache_dir.iterdir())
+        assert len(files) >= 2, deck
+        read = _command_output(argv)
+        assert read[:2] == written[:2], deck
+        assert [m for m in sampler if m in read[2]] == [], deck
+        assert "riffmix.cache" in read[2]
+        # One histogram missing: the sampler loads again to redraw it.
+        files[0].unlink()
+        missed = _command_output(argv)
+        assert missed[:2] == written[:2], deck
+        assert [m for m in sampler if m not in missed[2]] == [], deck
+        assert sorted(cache_dir.iterdir()) == files
+
+
+def test_cached_poly_estimate_loads_no_numpy(tmp_path):
+    argv = ["poly", "--source", "1^2,2^2", "--target", "1,2,1,2"]
+    argv += ["--method", "mc", "--l", "100", "--cache-dir", str(tmp_path)]
+    written = _command_output(argv)
+    assert "numpy" in written[2]
+    (path,) = tmp_path.iterdir()
+    text = path.read_text()
+    read = _command_output(argv)
+    assert read[:2] == written[:2]
+    assert "numpy" not in read[2]
+    assert path.read_text() == text
 
 
 def test_every_traced_layer_resolves():

@@ -39,7 +39,6 @@ _LAZY = {
         "descent_distribution_under_a_shuffle",
         "descent_polynomial_family",
         "digit_transition_counts",
-        "eulerian_row",
         "exact_descent_polynomial",
         "family_as_dict",
         "mc_descent_histogram",
@@ -100,6 +99,7 @@ _LAZY = {
         "strided_total",
     ),
     "shuffle": (
+        "eulerian_row",
         "permutation_probability",
         "sample_a_shuffle",
         "sample_digit_sequence",

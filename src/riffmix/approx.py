@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .deck import Deck, label_positions, transition_cardinality
 from .errors import CapExceededError, DegenerateDistributionError
@@ -34,8 +33,7 @@ if TYPE_CHECKING:
     from .descentpoly import DescentHistogram
 
 
-@dataclass(frozen=True)
-class DescentMoments:
+class DescentMoments(NamedTuple):
     """Exact first two moments of the descent count of a uniform transition."""
 
     n: int
@@ -326,8 +324,7 @@ def normal_polynomial_estimate(
 # Tail extrapolation from a sampled histogram
 
 
-@dataclass(frozen=True)
-class TailFit:
+class TailFit(NamedTuple):
     """Polynomial fit to log coefficient estimates over a degree window.
 
     `coefficients[k]` multiplies (d - center)^k in the log-scale model.

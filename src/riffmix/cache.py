@@ -16,8 +16,8 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 FORMAT_TAG = "riffmix histogram v2"
 ENV_VAR = "RIFFMIX_CACHE_DIR"
@@ -28,8 +28,7 @@ def default_cache_dir() -> Path | None:
     return Path(val) if val else None
 
 
-@dataclass(frozen=True)
-class HistogramKey:
+class HistogramKey(NamedTuple):
     """Identity of a histogram run; all fields must match to reuse counts.
 
     `streams` is the number of substreams (sample blocks) the run draws.

@@ -7,10 +7,15 @@ Subcommands:
 - `tvd`: distance from uniform for a scenario (named or custom deck),
   exact summation or the sampling estimator with a choice of backend.
 - `poly`: descent coefficients of one transition, exact, sampled, or
-  normal-approximated.
-- `hardness`: generate, reduce, and solve small decision instances.
+  normal-approximated (handler in `cli_poly`).
+- `hardness`: generate, reduce, and solve small decision instances
+  (handlers in `cli_hardness`).
 - `explore`: structure explorers (complementation classes, strided
-  descent tables).
+  descent tables; handlers in `cli_explore`).
+
+`main` imports a handler module only when its subcommand runs, so the
+other commands never compile it; the parser is built whole, so usage and
+help text cover every subcommand.
 
 Output is CSV (versioned, machine-stable) or aligned text.  Exit codes:
 0 on success, 2 on usage errors, 3 when a cap or feasibility check
@@ -20,12 +25,11 @@ refuses the computation.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .deck import Deck, deck_text, parse_deck
+from .deck import Deck, parse_deck
 from .errors import RiffmixError
 from .tvd import (
     Scenario,
@@ -39,15 +43,14 @@ from .tvd import (
 )
 
 if TYPE_CHECKING:
-    from .hardness import MatchingInstance
+    from collections.abc import Callable
 
 CSV_TAG = "# riffmix csv v1"
 RESULT_HEADER = "scenario,shuffles,method,value,k,l,seed,err96,err999996"
 POLY_HEADER = "degree,coefficient,method,gauge"
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     """One distance value, with enough context to reproduce it."""
 
     scenario: str
@@ -277,265 +280,17 @@ def cmd_tvd(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# poly
-
-
-def cmd_poly(args: argparse.Namespace) -> int:
-    from .descentpoly import exact_descent_polynomial, mc_descent_histogram
-
-    d1 = _deck_arg(args.source)
-    d2 = _deck_arg(args.target)
-    n = d1.n
-    entries: list[tuple[int, str, str, str]] = []
-    if args.method == "exact":
-        poly = exact_descent_polynomial(d1, d2, cap=args.cap)
-        for d, c in enumerate(poly.coefficients):
-            entries.append((d, str(c), "exact", ""))
-        compact = ",".join(str(c) for c in poly.coefficients)
-    elif args.method == "mc":
-        hist = mc_descent_histogram(
-            d1,
-            d2,
-            samples=args.l,
-            seed=_seed(args),
-            cache_dir=args.cache_dir,
-        )
-        est = hist.coefficient_estimates()
-        for d in range(n):
-            g = hist.relative_gauge(d)
-            entries.append(
-                (
-                    d,
-                    repr(float(est[d])),
-                    "mc",
-                    "" if g is None else f"{g:.4g}",
-                )
-            )
-        compact = ",".join(repr(float(e)) for e in est)
-    else:
-        from .approx import normal_error_bound_applies, normal_polynomial_estimate
-
-        moments, est = normal_polynomial_estimate(d1, d2)
-        if moments.variance == 0:
-            print(
-                "descent count is deterministic "
-                f"(always {moments.mean}); a normal curve does not apply",
-                file=sys.stderr,
-            )
-            return 3
-        gauge = "" if normal_error_bound_applies(moments) else "unproven"
-        for d, c in enumerate(est):
-            entries.append((d, repr(c), "normal", gauge))
-        compact = ",".join(e[1] for e in entries)
-    if args.format == "csv":
-        print(CSV_TAG)
-        print(POLY_HEADER)
-        for d, c, method, gauge in entries:
-            print(f"{d},{c},{method},{gauge}")
-    else:
-        print(f"source: {deck_text(d1)}")
-        print(f"target: {deck_text(d2)}")
-        print(f"coefficients (degree 0..{n - 1}): {compact}")
-        shown = [e for e in entries if e[3]]
-        if shown:
-            print("gauges:")
-            for d, _, _, gauge in shown:
-                print(f"  degree {d}: {gauge}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# hardness
-
-
-def _gen_instances(args: argparse.Namespace) -> list[MatchingInstance]:
-    from .hardness import random_matching_instance
-    from .rng import PURPOSE_INSTANCE_GEN, substream
-
-    for flag, value, least in (
-        ("--count", args.count, 0),
-        ("--m-max", args.m_max, 1),
-        ("--t-max", args.t_max, 1),
-    ):
-        if value < least:
-            raise ValueError(f"{flag} must be at least {least}, got {value}")
-    gen = substream(_seed(args), PURPOSE_INSTANCE_GEN)
-    return [
-        random_matching_instance(gen, m_max=args.m_max, t_max=args.t_max)
-        for _ in range(args.count)
-    ]
-
-
-def cmd_hardness_gen(args: argparse.Namespace) -> int:
-    for inst in _gen_instances(args):
-        print(inst.text())
-    return 0
-
-
-def _read_instance_lines(args: argparse.Namespace) -> list[str]:
-    if args.instance:
-        return [args.instance]
-    return [line.strip() for line in sys.stdin if line.strip()]
-
-
-def cmd_hardness_reduce(args: argparse.Namespace) -> int:
-    from .hardness import (
-        MatchingInstance,
-        RiffleInstance,
-        parse_instance,
-        reduce_matching_to_riffle,
-        reduce_matching_to_riffle_bracketed,
-        reduce_riffle_to_mincuts,
-    )
-
-    for line in _read_instance_lines(args):
-        inst = parse_instance(line)
-        if not isinstance(inst, MatchingInstance):
-            if isinstance(inst, RiffleInstance):
-                print(reduce_riffle_to_mincuts(inst).text())
-                continue
-            raise RiffmixError(f"cannot reduce {type(inst).__name__}")
-        if args.encoding == "brackets":
-            riffle = reduce_matching_to_riffle_bracketed(inst)
-        else:
-            riffle = reduce_matching_to_riffle(inst)
-        print(riffle.text())
-        if args.chain:
-            print(reduce_riffle_to_mincuts(riffle).text())
-    return 0
-
-
-def _solve(inst, node_cap: int) -> tuple[bool, object]:
-    """Solve one instance of any kind, verifying a yes answer's witness."""
-    from .hardness import (
-        MatchingInstance,
-        RiffleInstance,
-        matching_witness_ok,
-        mincuts_witness_ok,
-        riffle_witness_ok,
-        solve_matching,
-        solve_mincuts,
-        solve_riffle,
-    )
-
-    if isinstance(inst, MatchingInstance):
-        ok, witness = solve_matching(inst)
-        checked, what = matching_witness_ok, "matching"
-    elif isinstance(inst, RiffleInstance):
-        ok, witness = solve_riffle(inst, node_cap=node_cap)
-        checked, what = riffle_witness_ok, "interleaving"
-    else:
-        ok, witness = solve_mincuts(inst, node_cap=node_cap)
-        checked, what = mincuts_witness_ok, "transition"
-    if ok and not checked(inst, witness):
-        raise AssertionError(f"{what} witness failed verification")
-    return ok, witness
-
-
-def _solve_any(line: str, node_cap: int) -> tuple[str, str]:
-    from .hardness import MatchingInstance, RiffleInstance, parse_instance
-
-    inst = parse_instance(line)
-    ok, witness = _solve(inst, node_cap)
-    if not ok:
-        return "no", ""
-    if isinstance(inst, MatchingInstance):
-        return "yes", ";".join(f"({x},{y},{z})" for x, y, z in witness)
-    if isinstance(inst, RiffleInstance):
-        return "yes", ",".join(map(str, witness))
-    return "yes", str(witness)
-
-
-def cmd_hardness_solve(args: argparse.Namespace) -> int:
-    from .hardness import MinCutsInstance
-
-    if args.mincuts:
-        d1, d2, budget = args.mincuts
-        try:
-            budget = int(budget)
-        except ValueError:
-            raise ValueError(
-                f"--mincuts expects an integer descent budget D, got {budget!r}"
-            ) from None
-        inst = MinCutsInstance(_deck_arg(d1), _deck_arg(d2), budget)
-        lines = [inst.text()]
-    else:
-        lines = _read_instance_lines(args)
-    for line in lines:
-        answer, witness = _solve_any(line, args.node_cap)
-        print(f"{answer} witness={witness}" if witness else answer)
-    return 0
-
-
-def cmd_hardness_battery(args: argparse.Namespace) -> int:
-    from .hardness import (
-        reduce_matching_to_riffle,
-        reduce_matching_to_riffle_bracketed,
-        reduce_riffle_to_mincuts,
-    )
-
-    disagreements = 0
-    for i, inst in enumerate(_gen_instances(args)):
-        riffle = reduce_matching_to_riffle(inst)
-        forms = {
-            "matching": inst,
-            "riffle": riffle,
-            "riffle-brackets": reduce_matching_to_riffle_bracketed(inst),
-            "mincuts": reduce_riffle_to_mincuts(riffle),
-        }
-        answers = {
-            name: _solve(form, args.node_cap)[0] for name, form in forms.items()
-        }
-        expect = answers["matching"]
-        agree = len(set(answers.values())) == 1
-        disagreements += 0 if agree else 1
-        status = "ok" if agree else "MISMATCH " + str(answers)
-        print(
-            f"instance={i} m={inst.m} t={len(inst.triples)} "
-            f"answer={'yes' if expect else 'no'} {status}"
-        )
-    print(f"battery count={args.count} disagreements={disagreements}")
-    return 0 if disagreements == 0 else 1
-
-
-# ---------------------------------------------------------------------------
-# explore
-
-
-def cmd_explore_classes(args: argparse.Namespace) -> int:
-    from .hardness import balanced_class_count_formula, balanced_complement_classes
-
-    for n in _parse_range(args.n, "--n"):
-        classes, seqs = balanced_complement_classes(n)
-        formula = balanced_class_count_formula(n)
-        print(
-            f"n={n} classes={classes} sequences={seqs} "
-            f"formula-candidate={formula:g}"
-        )
-    return 0
-
-
-def cmd_explore_modh(args: argparse.Namespace) -> int:
-    from .descentpoly import eulerian_row
-    from .hardness import strided_descent_counts, strided_total
-
-    counts = strided_descent_counts(args.n, args.h, cap=args.cap)
-    total = strided_total(args.n, args.h)
-    shown = list(counts)
-    while len(shown) > 1 and shown[-1] == 0:
-        shown.pop()
-    print(f"n={args.n} h={args.h} total={total}")
-    print("descents=" + ",".join(str(c) for c in shown))
-    if args.h == 1:
-        print(
-            "unrestricted-reference="
-            + ",".join(str(c) for c in eulerian_row(args.n))
-        )
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # Parser assembly
+
+
+def _handler(module: str, name: str) -> Callable[[argparse.Namespace], int]:
+    """The handler `name` of the sibling module `module`, which is imported
+    only when the handler runs."""
+
+    def run(args: argparse.Namespace) -> int:
+        return getattr(importlib.import_module(f".{module}", __package__), name)(args)
+
+    return run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -622,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--cap", type=int, default=10**8)
     p_poly.add_argument("--cache-dir", default=None)
     add_format(p_poly)
-    p_poly.set_defaults(func=cmd_poly)
+    p_poly.set_defaults(func=_handler("cli_poly", "cmd_poly"))
 
     p_hard = sub.add_parser("hardness", help="decision instances")
     hard_sub = p_hard.add_subparsers(dest="hardness_command", required=True)
@@ -635,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = hard_sub.add_parser("gen", help="random matching instances")
     add_gen_args(p_gen)
-    p_gen.set_defaults(func=cmd_hardness_gen)
+    p_gen.set_defaults(func=_handler("cli_hardness", "cmd_hardness_gen"))
 
     p_red = hard_sub.add_parser("reduce", help="apply reductions")
     p_red.add_argument(
@@ -649,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print the descent-budget form of the reduced instance",
     )
-    p_red.set_defaults(func=cmd_hardness_reduce)
+    p_red.set_defaults(func=_handler("cli_hardness", "cmd_hardness_reduce"))
 
     p_solve = hard_sub.add_parser("solve", help="solve one instance")
     p_solve.add_argument(
@@ -662,14 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="shorthand: source deck, target deck, descent budget",
     )
     p_solve.add_argument("--node-cap", type=int, default=2_000_000)
-    p_solve.set_defaults(func=cmd_hardness_solve)
+    p_solve.set_defaults(func=_handler("cli_hardness", "cmd_hardness_solve"))
 
     p_bat = hard_sub.add_parser(
         "battery", help="cross-check reductions on random instances"
     )
     add_gen_args(p_bat)
     p_bat.add_argument("--node-cap", type=int, default=2_000_000)
-    p_bat.set_defaults(func=cmd_hardness_battery)
+    p_bat.set_defaults(func=_handler("cli_hardness", "cmd_hardness_battery"))
 
     p_exp = sub.add_parser("explore", help="structure explorers")
     exp_sub = p_exp.add_subparsers(dest="explore_command", required=True)
@@ -678,13 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
         "classes", help="balanced-complementation classes"
     )
     p_cls.add_argument("--n", required=True, help="half-size, e.g. 4 or 1..6")
-    p_cls.set_defaults(func=cmd_explore_classes)
+    p_cls.set_defaults(func=_handler("cli_explore", "cmd_explore_classes"))
 
     p_mod = exp_sub.add_parser("modh", help="strided descent tables")
     p_mod.add_argument("--n", type=int, required=True)
     p_mod.add_argument("--h", type=int, required=True)
     p_mod.add_argument("--cap", type=int, default=10**7)
-    p_mod.set_defaults(func=cmd_explore_modh)
+    p_mod.set_defaults(func=_handler("cli_explore", "cmd_explore_modh"))
 
     return top
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator
 
@@ -30,11 +29,35 @@ if TYPE_CHECKING:
 # Core types
 
 
-@dataclass(frozen=True)
+def _frozen(self, name: str, *value: object) -> None:
+    """`__setattr__` and `__delattr__` of the immutable record classes."""
+    raise AttributeError(f"cannot set or delete field {name!r}")
+
+
 class Deck:
-    """An ordered sequence of cards, each one its label token."""
+    """An ordered sequence of cards, each one its label token.
+
+    Immutable, compared and hashed by `cards`, as a frozen dataclass is;
+    a plain class rather than one keeps `dataclasses` out of start-up.
+    """
 
     cards: tuple[str, ...]
+
+    def __init__(self, cards: tuple[str, ...]) -> None:
+        object.__setattr__(self, "cards", cards)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cards == other.cards
+
+    def __hash__(self) -> int:
+        return hash((self.cards,))
+
+    def __repr__(self) -> str:
+        return f"Deck(cards={self.cards!r})"
+
+    __setattr__ = __delattr__ = _frozen
 
     @property
     def n(self) -> int:
@@ -57,19 +80,33 @@ class Deck:
         return deck_text(self)
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """A bijection on positions 1..n, stored as the tuple of images."""
+    """A bijection on positions 1..n, stored as the tuple of images;
+    immutable, compared and hashed by `images`."""
 
     images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
+    def __init__(self, images: tuple[int, ...]) -> None:
+        n = len(images)
         seen = [False] * n
-        for j in self.images:
+        for j in images:
             if not 1 <= j <= n or seen[j - 1]:
-                raise ValueError(f"not a bijection on 1..{n}: {self.images}")
+                raise ValueError(f"not a bijection on 1..{n}: {images}")
             seen[j - 1] = True
+        object.__setattr__(self, "images", images)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={self.images!r})"
+
+    __setattr__ = __delattr__ = _frozen
 
     @property
     def n(self) -> int:

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .deck import (
     Deck,
@@ -33,7 +32,7 @@ from .deck import (
 )
 from .errors import CapExceededError, InconsistentProbabilitiesError
 from .rng import PURPOSE_HISTOGRAM, substream
-from .shuffle import shuffle_weights
+from .shuffle import eulerian_row, shuffle_weights
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,8 +66,7 @@ SAMPLER_VERSION = 5
 # Result types
 
 
-@dataclass(frozen=True)
-class DescentPolynomial:
+class DescentPolynomial(NamedTuple):
     """Exact descent-count classification of a transition set."""
 
     source: Deck
@@ -88,8 +86,7 @@ class DescentPolynomial:
         return probability_from_coefficients(self.coefficients, a)
 
 
-@dataclass(frozen=True)
-class DescentHistogram:
+class DescentHistogram(NamedTuple):
     """Sampled descent counts over a transition set.
 
     `counts[d]` is the number of sampled permutations with `d` descents;
@@ -295,8 +292,7 @@ def _source_codes(exp: np.ndarray, h: int) -> np.ndarray:
     return code
 
 
-@dataclass(frozen=True)
-class PolynomialFamily:
+class PolynomialFamily(NamedTuple):
     """Descent polynomials between one anchor deck and every counterpart.
 
     With `role="source"` the anchor is the pre-shuffle deck and rows are
@@ -556,22 +552,6 @@ def probabilities_to_polynomial(
 # Distinct-card reference distribution
 
 
-@lru_cache(maxsize=None)
-def eulerian_row(n: int) -> tuple[int, ...]:
-    """Counts of n-card permutations by descent number (degrees 0..n-1)."""
-    if n < 1:
-        raise ValueError("need at least one card")
-    row = [1]
-    for m in range(2, n + 1):
-        # Inserting card m into an (m-1)-card permutation with d descents
-        # keeps d in d + 1 of the m gaps and adds one in the other m - 1 - d.
-        row = [
-            (d + 1) * below + (m - d) * left
-            for d, (below, left) in enumerate(zip(row + [0], [0] + row))
-        ]
-    return tuple(row)
-
-
 def descent_distribution_under_a_shuffle(
     n: int, a: int
 ) -> tuple[Fraction, ...]:
@@ -589,7 +569,6 @@ __all__ = [
     "descent_distribution_under_a_shuffle",
     "descent_polynomial_family",
     "digit_transition_counts",
-    "eulerian_row",
     "exact_descent_polynomial",
     "family_as_dict",
     "mc_descent_histogram",

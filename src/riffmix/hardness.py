@@ -30,50 +30,66 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right, insort
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .deck import (
     Deck,
     Permutation,
+    _frozen,
     deck_text,
     descents,
     is_transition,
     label_positions,
     parse_deck,
 )
-from .descentpoly import eulerian_row, exact_descent_polynomial
+from .descentpoly import exact_descent_polynomial
 from .errors import CapExceededError
 from .rng import PURPOSE_INSTANCE_GEN, substream
+from .shuffle import eulerian_row
 
 # ---------------------------------------------------------------------------
 # Instance types and text round-tripping
 
 
-@dataclass(frozen=True)
 class MatchingInstance:
-    """Exact cover by triples over three copies of {1..m}."""
+    """Exact cover by triples over three copies of {1..m}; immutable,
+    compared and hashed by its fields."""
 
     m: int
     triples: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError(f"m must be nonnegative, got {self.m}")
-        for t in self.triples:
-            if len(t) != 3 or any(not 1 <= v <= self.m for v in t):
-                raise ValueError(f"triple {t} out of range 1..{self.m}")
-        if len(set(self.triples)) != len(self.triples):
+    def __init__(self, m: int, triples: tuple[tuple[int, int, int], ...]) -> None:
+        if m < 0:
+            raise ValueError(f"m must be nonnegative, got {m}")
+        for t in triples:
+            if len(t) != 3 or any(not 1 <= v <= m for v in t):
+                raise ValueError(f"triple {t} out of range 1..{m}")
+        if len(set(triples)) != len(triples):
             raise ValueError("duplicate triples")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "triples", triples)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.triples) == (other.m, other.triples)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.triples))
+
+    def __repr__(self) -> str:
+        return f"MatchingInstance(m={self.m!r}, triples={self.triples!r})"
+
+    __setattr__ = __delattr__ = _frozen
 
     def text(self) -> str:
         body = ";".join(f"({x},{y},{z})" for x, y, z in self.triples)
         return f"3dm m={self.m} triples={body}"
 
 
-@dataclass(frozen=True)
-class RiffleInstance:
+class RiffleInstance(NamedTuple):
     """Can `packets` interleave, each in order, into `deck`?"""
 
     packets: tuple[Deck, ...]
@@ -84,8 +100,7 @@ class RiffleInstance:
         return f"riffle packets={body} deck={deck_text(self.deck)}"
 
 
-@dataclass(frozen=True)
-class MinCutsInstance:
+class MinCutsInstance(NamedTuple):
     """Is there a transition from `source` to `target` with at most
     `budget` descents?"""
 

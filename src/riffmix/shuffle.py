@@ -9,7 +9,9 @@ uniform gives the standard model of a riffle-style shuffle; `a = 2^k`
 corresponds to `k` successive two-packet riffles.
 
 The chance that such a shuffle realizes a permutation depends only on its
-descent count, through the integer weights of `shuffle_weights`.
+descent count, through the integer weights of `shuffle_weights`; the
+permutations of `n` distinct cards with each descent count are counted by
+`eulerian_row`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import numbers
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .deck import Permutation, descents
@@ -37,6 +40,22 @@ def shuffle_weights(n: int, a: int) -> tuple[tuple[int, ...], int]:
     if a < 1:
         raise ValueError("packet count must be at least 1")
     return tuple(math.comb(a + n - d - 1, n) for d in range(n)), a**n
+
+
+@lru_cache(maxsize=None)
+def eulerian_row(n: int) -> tuple[int, ...]:
+    """Counts of n-card permutations by descent number (degrees 0..n-1)."""
+    if n < 1:
+        raise ValueError("need at least one card")
+    row = [1]
+    for m in range(2, n + 1):
+        # Inserting card m into an (m-1)-card permutation with d descents
+        # keeps d in d + 1 of the m gaps and adds one in the other m - 1 - d.
+        row = [
+            (d + 1) * below + (m - d) * left
+            for d, (below, left) in enumerate(zip(row + [0], [0] + row))
+        ]
+    return tuple(row)
 
 
 def sequence_to_permutation(digits: tuple[int, ...], a: int) -> Permutation:

@@ -30,15 +30,13 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import partial
-from fractions import Fraction
-from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .deck import (
     Deck,
     _capped_cardinality,
+    _frozen,
     arrangement_count,
     deck_text,
     enumerate_arrangements,
@@ -49,6 +47,9 @@ from .errors import CapExceededError
 from .rng import PURPOSE_TVD, PermutationStream
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+    from pathlib import Path
+
     from .approx import PairStatistics
 
 # Deviation bounds for the sampling estimator: (alpha, P(exceed) bound).
@@ -61,17 +62,40 @@ FIXED_SOURCE = "fixed-source"
 FIXED_TARGET = "fixed-target"
 
 
-@dataclass(frozen=True)
 class Scenario:
-    """A named mixing question: one anchored deck plus which side it anchors."""
+    """A named mixing question: one anchored deck plus which side it
+    anchors; immutable, compared and hashed by its fields."""
 
     name: str
     kind: str
     anchor: Deck
 
-    def __post_init__(self) -> None:
-        if self.kind not in (FIXED_SOURCE, FIXED_TARGET):
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
+    def __init__(self, name: str, kind: str, anchor: Deck) -> None:
+        if kind not in (FIXED_SOURCE, FIXED_TARGET):
+            raise ValueError(f"unknown scenario kind {kind!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "anchor", anchor)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.kind, self.anchor) == (
+            other.name,
+            other.kind,
+            other.anchor,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.kind, self.anchor))
+
+    def __repr__(self) -> str:
+        return (
+            f"Scenario(name={self.name!r}, kind={self.kind!r}, "
+            f"anchor={self.anchor!r})"
+        )
+
+    __setattr__ = __delattr__ = _frozen
 
     @property
     def arrangements(self) -> int:
@@ -177,9 +201,9 @@ def exact_tvd_curve(
     when the deck is not a block deck (a block deck's pairs take a DP).
     The caps pick no route.
     """
-    from .blockdp import is_block
-    from .descentpoly import _SWEEP_MAX_N, descent_polynomial_family, eulerian_row
-    from .shuffle import shuffle_weights
+    from fractions import Fraction
+
+    from .shuffle import eulerian_row, shuffle_weights
 
     n = s.anchor.n
     weighted = [shuffle_weights(n, a) for a in packets]
@@ -191,6 +215,9 @@ def exact_tvd_curve(
         unit = [(0,) * d + (1,) + (0,) * (n - d - 1) for d in range(n)]
         rows = Counter(dict(zip(unit, eulerian_row(n))))
     else:
+        from .blockdp import is_block
+        from .descentpoly import _SWEEP_MAX_N, descent_polynomial_family
+
         if count > arrangement_cap:
             raise CapExceededError(
                 f"scenario has {count} arrangements, above the cap of {arrangement_cap}"
@@ -225,8 +252,7 @@ def exact_tvd_curve(
 # Sampling estimator
 
 
-@dataclass(frozen=True)
-class TvdEstimate:
+class TvdEstimate(NamedTuple):
     """Result of the sampling estimator.
 
     `alpha_bounds` lists (alpha, halfwidth, chance) rows: the estimate is
@@ -354,6 +380,8 @@ def _terms(
     are scored exactly by `_gaps`; float vectors are summed in degree
     order, each weight taken over a^n first."""
     if not isinstance(coefficients[0], float):
+        from fractions import Fraction
+
         return [
             float(Fraction(gap, denom)) if gap > 0 else 0.0
             for gap, (_, denom) in zip(_gaps(coefficients, weighted, count), weighted)

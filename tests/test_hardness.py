@@ -109,10 +109,14 @@ class TestInstanceText:
     def test_triples_must_fit_universe(self):
         with pytest.raises(ValueError):
             MatchingInstance(m=2, triples=((1, 3, 1),))
+        with pytest.raises(ValueError, match="duplicate triples"):
+            MatchingInstance(m=2, triples=((1, 2, 1), (1, 2, 1)))
 
     def test_negative_universe_rejected_and_empty_one_covered(self):
         with pytest.raises(ValueError, match="m must be nonnegative"):
             parse_instance("3dm m=-1 triples=")
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            MatchingInstance(m=-1, triples=())
         empty = parse_instance("3dm m=0 triples=")
         ok, witness = solve_matching(empty)
         assert ok and list(witness) == []

@@ -9,11 +9,15 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import riffmix
 import riffmix.descentpoly
 import riffmix.hardness
+from riffmix.deck import Deck
 
 
 def test_every_export_resolves_once():
@@ -34,13 +38,18 @@ def _loaded_modules(code: str) -> list[str]:
     return _probe(code).split()
 
 
+# Modules outside the package whose loading `_probe` reports: numpy, and
+# standard modules that cost start-up time.
+_WATCHED = ("dataclasses", "fractions", "inspect", "numpy")
+
+
 def _probe(code: str) -> str:
     """The stdout of a fresh interpreter that runs `code`, then prints
-    the `riffmix` modules, and `numpy` if loaded, that it holds."""
+    the `riffmix` modules, and those of `_WATCHED`, that it holds."""
     probe = code + (
         "\nimport sys\n"
         "print(' '.join(sorted(m for m in sys.modules"
-        " if m.startswith('riffmix.') or m == 'numpy')))\n"
+        f" if m.startswith('riffmix.') or m in {_WATCHED!r})))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(riffmix.__file__).parents[1]))
     env.pop("RIFFMIX_CACHE_DIR", None)
@@ -73,6 +82,12 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
     loaded = _loaded_modules("import riffmix.cli")
     lazy = ("riffmix.approx", "riffmix.hardness", "riffmix.shuffle")
     assert [m for m in lazy if m in loaded] == []
+    # The handlers of the other subcommands load only when those run.
+    handlers = ("riffmix.cli_explore", "riffmix.cli_hardness", "riffmix.cli_poly")
+    assert [m for m in handlers if m in loaded] == []
+    # Records are named tuples or plain classes, so no command below
+    # loads `dataclasses`, nor the `inspect` it imports.
+    slow = ("dataclasses", "inspect")
     # Set-up alone (a scenario resolved, then an empty shuffle range) and
     # the normal backend run no descent-polynomial engine.  numpy loads only
     # where a vectorized engine runs, so these leave it unloaded.
@@ -92,6 +107,9 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
         assert [m for m in engines if m in loaded] == [], argv
         assert "riffmix.tvd" in loaded
         assert "numpy" not in loaded, argv
+        assert [m for m in slow if m in loaded] == [], argv
+        # Set-up builds no exact value.
+        assert ("fractions" in loaded) == ("mc-normal" in argv), argv
     # The exact backend runs the block-deck DP, but neither the table
     # engine nor the histogram cache.
     argv = ["tvd", "--deck", "1^3,2^8", "--kind", "fixed-source"]
@@ -100,13 +118,17 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
     assert "riffmix.blockdp" in loaded
     unused = ("riffmix.cache", "riffmix.codes", "riffmix.tables", "numpy")
     assert [m for m in unused if m in loaded] == []
-    # The closed form and a README polynomial small enough to enumerate in
-    # pure Python.
-    for argv in (
-        ["bd", "--n", "52", "--shuffles", "5..8"],
-        ["poly", "--source", "1^2,2^2", "--target", "1,2,1,2", "--format", "text"],
-    ):
-        assert "numpy" not in _command_modules(argv, 0), argv
+    assert [m for m in slow if m in loaded] == []
+    # The closed form, which needs no polynomial engine, and a README
+    # polynomial small enough to enumerate in pure Python.
+    argv = ["bd", "--n", "52", "--shuffles", "5..8"]
+    loaded = _command_modules(argv, 0)
+    unused = ("riffmix.blockdp", "riffmix.descentpoly", "numpy")
+    assert [m for m in unused + slow if m in loaded] == []
+    argv = ["poly", "--source", "1^2,2^2", "--target", "1,2,1,2", "--format", "text"]
+    loaded = _command_modules(argv, 0)
+    assert "riffmix.cli_poly" in loaded
+    assert [m for m in ("numpy",) + slow if m in loaded] == []
     # The histogram backend runs the table engine, but not the DP.
     argv = ["tvd", "--deck", "1^2,2^2", "--kind", "fixed-source", "--shuffles", "2"]
     argv += ["--method", "mc-hist", "--k", "2", "--hist-samples", "100"]
@@ -197,3 +219,142 @@ def test_every_traced_layer_resolves():
     }
     assert unresolved <= {("tvd", "mc_tvd"), ("tvd", "exact_tvd_small")}
     assert ("descentpoly", "mc_descent_histogram") in {t[1:3] for t in targets}
+
+
+_DECK = Deck(("1", "2", "1"))
+_OTHER = Deck(("2", "1", "1"))
+
+# Each record class by module and name, with the fields of one instance in
+# declaration order.  The family's arrays are given as tuples, so it hashes.
+_RECORDS = (
+    ("deck", "Deck", {"cards": ("1", "2", "1")}),
+    ("deck", "Permutation", {"images": (2, 3, 1)}),
+    ("tvd", "Scenario", {"name": "x", "kind": "fixed-target", "anchor": _DECK}),
+    (
+        "tvd",
+        "TvdEstimate",
+        {
+            "scenario": "x",
+            "method": "normal",
+            "a": 8,
+            "value": 0.25,
+            "k": 10,
+            "seed": 3,
+            "alpha_bounds": ((10.0, 1.0, 0.04),),
+            "hist_samples": None,
+            "unproven": 2,
+            "unfitted": None,
+            "uninformed": None,
+        },
+    ),
+    (
+        "cli",
+        "ResultRow",
+        {
+            "scenario": "x",
+            "shuffles": 3,
+            "method": "exact",
+            "value": 0.5,
+            "k": None,
+            "l": None,
+            "seed": 1,
+            "err96": None,
+            "err999996": None,
+        },
+    ),
+    (
+        "approx",
+        "DescentMoments",
+        {"n": 3, "mean": Fraction(2, 3), "variance": Fraction(2, 9)},
+    ),
+    (
+        "approx",
+        "TailFit",
+        {
+            "window": (1, 4),
+            "degree": 2,
+            "center": Fraction(5, 2),
+            "coefficients": (Fraction(1), Fraction(-1, 2)),
+            "residual_rms": 0.125,
+            "min_count": 400,
+        },
+    ),
+    (
+        "cache",
+        "HistogramKey",
+        {
+            "source_text": "1^2,2",
+            "target_text": "2,1^2",
+            "samples": 100,
+            "seed": 7,
+            "streams": 1,
+            "sampler": 5,
+        },
+    ),
+    (
+        "descentpoly",
+        "DescentPolynomial",
+        {"source": _DECK, "target": _OTHER, "coefficients": (1, 1, 0)},
+    ),
+    (
+        "descentpoly",
+        "DescentHistogram",
+        {
+            "source": _DECK,
+            "target": _OTHER,
+            "counts": (5, 5, 0),
+            "samples": 10,
+            "seed": 2,
+        },
+    ),
+    (
+        "descentpoly",
+        "PolynomialFamily",
+        {
+            "anchor": _DECK,
+            "role": "source",
+            "labels": ("1", "2"),
+            "codes": (2, 1, 4),
+            "counts": ((1, 1, 0), (2, 0, 0), (1, 1, 0)),
+        },
+    ),
+    ("hardness", "MatchingInstance", {"m": 2, "triples": ((1, 1, 1), (2, 2, 2))}),
+    ("hardness", "RiffleInstance", {"packets": (_DECK, _OTHER), "deck": _DECK}),
+    ("hardness", "MinCutsInstance", {"source": _DECK, "target": _OTHER, "budget": 1}),
+)
+
+
+@pytest.mark.parametrize(
+    "module, name, fields", _RECORDS, ids=[name for _, name, _ in _RECORDS]
+)
+def test_records_behave_as_frozen_dataclasses(module, name, fields):
+    cls = getattr(importlib.import_module(f"riffmix.{module}"), name)
+    # The table lists every field, in order.
+    assert list(cls.__annotations__) == list(fields)
+    record, twin = cls(**fields), cls(**fields)
+    assert record == twin and record is not twin
+    # As the dataclass hash was: set and dict orders stay the same.
+    assert hash(record) == hash(twin) == hash(tuple(fields.values()))
+    body = ", ".join(f"{key}={value!r}" for key, value in fields.items())
+    assert repr(record) == f"{name}({body})"
+    for key, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(record, key, value)
+        assert getattr(record, key) is value
+
+
+def test_no_module_imports_dataclasses():
+    # Importing `dataclasses` loads `inspect` and costs every command
+    # start-up time; the import-set test covers only the commands it runs.
+    offenders = []
+    for path in sorted(Path(riffmix.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

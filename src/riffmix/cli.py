@@ -461,4 +461,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # Under `python -m riffmix.cli` this module runs as `__main__`.  The
+    # handler modules' `from .cli import ...` then finds it under its own
+    # name instead of compiling and running it again as `riffmix.cli`.
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     sys.exit(main())

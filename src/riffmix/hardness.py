@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from bisect import bisect_right, insort
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .deck import (
     Deck,
@@ -48,6 +47,9 @@ from .descentpoly import exact_descent_polynomial
 from .errors import CapExceededError
 from .rng import PURPOSE_INSTANCE_GEN, substream
 from .shuffle import eulerian_row
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # ---------------------------------------------------------------------------
 # Instance types and text round-tripping
@@ -151,9 +153,10 @@ def parse_instance(line: str) -> MatchingInstance | RiffleInstance | MinCutsInst
 def random_matching_instance(
     gen_or_seed: np.random.Generator | int, m_max: int = 4, t_max: int = 6
 ) -> MatchingInstance:
-    """Random instance with m <= m_max and at most t_max distinct triples."""
+    """Random instance with m <= m_max and at most t_max distinct triples.
+    An integer `gen_or_seed` (Python's or numpy's) is a seed."""
     gen = gen_or_seed
-    if isinstance(gen, (int, np.integer)):
+    if isinstance(gen, numbers.Integral):
         gen = substream(int(gen), PURPOSE_INSTANCE_GEN)
     m = int(gen.integers(1, m_max + 1))
     t = int(gen.integers(1, t_max + 1))

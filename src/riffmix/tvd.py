@@ -192,14 +192,15 @@ def exact_tvd_curve(
     count in `packets`.
 
     The deck alone picks the route: distinct cards take the closed form,
-    decks of up to `_SWEEP_MAX_N` cards one permutation sweep, and larger
-    decks one `exact_descent_polynomial` per arrangement, each found once
-    for all packet counts.  Unless the cards are distinct, raises
-    `CapExceededError` when the arrangement count exceeds
-    `arrangement_cap`, or when the transition set exceeds
-    `transition_cap` and is enumerated: by the sweep, or per arrangement
-    when the deck is not a block deck (a block deck's pairs take a DP).
-    The caps pick no route.
+    other block decks (each label's cards together) one DP over all
+    counterparts (`blockfamily.family_rows`), other decks of up to
+    `_SWEEP_MAX_N` cards one permutation sweep, and larger ones one
+    `exact_descent_polynomial` per arrangement, each found once for all
+    packet counts.  Only the sweep loads numpy.  Unless the cards are
+    distinct, raises `CapExceededError` when the arrangement count
+    exceeds `arrangement_cap`; when the deck is not a block deck, also
+    when the transition set exceeds `transition_cap`, since the sweep and
+    the per-arrangement route enumerate it.  The caps pick no route.
     """
     from fractions import Fraction
 
@@ -208,6 +209,7 @@ def exact_tvd_curve(
     n = s.anchor.n
     weighted = [shuffle_weights(n, a) for a in packets]
     count = s.arrangements
+    role = "source" if s.kind == FIXED_SOURCE else "target"
     # Arrangements sharing a coefficient vector share their terms, so each
     # distinct vector is scored once and weighted by how often it occurs.
     if len(s.anchor.counts) == n:
@@ -216,28 +218,32 @@ def exact_tvd_curve(
         rows = Counter(dict(zip(unit, eulerian_row(n))))
     else:
         from .blockdp import is_block
-        from .descentpoly import _SWEEP_MAX_N, descent_polynomial_family
 
         if count > arrangement_cap:
             raise CapExceededError(
                 f"scenario has {count} arrangements, above the cap of {arrangement_cap}"
             )
-        # Every arrangement's transition set has the anchor's size.
-        if n <= _SWEEP_MAX_N or not is_block(s.anchor):
-            _capped_cardinality(s.anchor, s.anchor, transition_cap)
-        if n <= _SWEEP_MAX_N:
-            role = "source" if s.kind == FIXED_SOURCE else "target"
-            family = descent_polynomial_family(s.anchor, role=role)
-            if len(family.codes) != count:
-                raise ArithmeticError(
-                    "sweep row count disagrees with arrangement count; this is a bug"
-                )
-            rows = Counter(map(tuple, family.counts.tolist()))
+        if is_block(s.anchor):
+            from .blockfamily import family_rows
+
+            rows = family_rows(s.anchor, role)
         else:
-            rows = Counter(
-                _exact_coefficients(s, c, transition_cap)
-                for c in enumerate_arrangements(s.anchor, cap=arrangement_cap)
-            )
+            from .descentpoly import _SWEEP_MAX_N, descent_polynomial_family
+
+            # Every arrangement's transition set has the anchor's size.
+            _capped_cardinality(s.anchor, s.anchor, transition_cap)
+            if n <= _SWEEP_MAX_N:
+                family = descent_polynomial_family(s.anchor, role=role)
+                if len(family.codes) != count:
+                    raise ArithmeticError(
+                        "sweep row count disagrees with arrangement count; this is a bug"
+                    )
+                rows = Counter(map(tuple, family.counts.tolist()))
+            else:
+                rows = Counter(
+                    _exact_coefficients(s, c, transition_cap)
+                    for c in enumerate_arrangements(s.anchor, cap=arrangement_cap)
+                )
     excess = [0] * len(weighted)
     for row, times in rows.items():
         for i, gap in enumerate(_gaps(row, weighted, count)):

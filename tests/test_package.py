@@ -136,10 +136,27 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
     assert "riffmix.tables" in loaded
     assert "numpy" in loaded
     assert [m for m in ("riffmix.approx", "riffmix.blockdp") if m in loaded] == []
-    # The n! sweep is vectorized.
-    argv = ["tvd", "--deck", "1^2,2^2,3^2,4^2,5", "--kind", "fixed-source"]
+    # The n! sweep is vectorized; it runs on a deck that is not a block deck.
+    argv = ["tvd", "--deck", "1,2,1,2,3", "--kind", "fixed-source"]
     argv += ["--shuffles", "1", "--method", "exact"]
     assert "numpy" in _command_modules(argv, 0)
+    # A block deck's counterparts take one pure-Python DP, in either kind.
+    for kind in ("fixed-source", "fixed-target"):
+        argv = ["tvd", "--deck", "1^2,2^2,3^2,4^2,5", "--kind", kind]
+        argv += ["--shuffles", "1..4", "--method", "exact"]
+        loaded = _command_modules(argv, 0)
+        assert "riffmix.blockfamily" in loaded
+        unused = ("riffmix.descentpoly", "riffmix.tables", "numpy")
+        assert [m for m in unused + slow if m in loaded] == [], kind
+    # Instance reductions and complementation classes are integer
+    # combinatorics.
+    for argv in (
+        ["explore", "classes", "--n", "2"],
+        ["hardness", "reduce", "--instance", "3dm m=1 triples=(1,1,1)", "--chain"],
+    ):
+        loaded = _command_modules(argv, 0)
+        assert "riffmix.hardness" in loaded
+        assert [m for m in ("numpy",) + slow if m in loaded] == [], argv
 
 
 def _command_output(argv: list[str]) -> tuple[str, str, list[str]]:
@@ -183,6 +200,35 @@ def test_fully_cached_histograms_load_no_sampler(tmp_path):
         assert missed[:2] == written[:2], deck
         assert [m for m in sampler if m not in missed[2]] == [], deck
         assert sorted(cache_dir.iterdir()) == files
+
+
+def test_module_entry_point_imports_the_cli_once():
+    # Under `python -m riffmix.cli` the CLI runs as `__main__`; the handler
+    # modules' `from .cli import ...` must not import it again.
+    env = dict(os.environ, PYTHONPATH=str(Path(riffmix.__file__).parents[1]))
+    env.pop("RIFFMIX_CACHE_DIR", None)
+    for argv in (
+        ["tvd", "--deck", "1^2,2^2", "--kind", "fixed-source", "--shuffles", "1"],
+        ["poly", "--source", "1^2,2^2", "--target", "1,2,1,2"],
+        ["hardness", "reduce", "--instance", "3dm m=1 triples=(1,1,1)"],
+        ["explore", "classes", "--n", "2"],
+    ):
+        res = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "riffmix.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout, argv
+        imported = [
+            line.rsplit("|", 1)[1].strip()
+            for line in res.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        assert "riffmix.tvd" in imported, argv
+        assert "riffmix.cli" not in imported, argv
 
 
 def test_cached_poly_estimate_loads_no_numpy(tmp_path):

@@ -148,7 +148,8 @@ class TestExactTvd:
             exact_tvd_curve(scenario("Bridge1"), [2])
 
     def test_transition_cap_enforced(self):
-        s = custom_scenario("1,1,2,2,3", FIXED_SOURCE)
+        # Not a block deck, so the sweep enumerates its transition sets.
+        s = custom_scenario("1,2,1,2,3", FIXED_SOURCE)
         with pytest.raises(CapExceededError):
             exact_tvd_curve(s, [2], transition_cap=2)
 
@@ -158,12 +159,18 @@ class TestExactTvd:
             ("1^10,2", FIXED_SOURCE, 2),
             ("1^10,2", FIXED_SOURCE, 3),
             ("1^2,2^9", FIXED_TARGET, 2),
+            ("1^2,2^2,3", FIXED_SOURCE, 2),
+            ("1^2,2^2,3", FIXED_TARGET, 3),
+            ("1^3,2,3^3", FIXED_SOURCE, 2),
+            ("1,2^3,3^2", FIXED_TARGET, 2),
         ],
     )
-    def test_block_decks_above_the_sweep_take_the_dp_so_no_transition_cap_applies(
+    def test_block_decks_take_the_dp_so_no_transition_cap_applies(
         self, deck, kind, a
     ):
-        # Each pair has 10! or more members, and the DP enumerates none.
+        # Block decks of any size take the DP over all counterparts, which
+        # enumerates no transition: the 11-card decks' pairs have 10! or
+        # more members, and the others are small enough for the sweep.
         s = custom_scenario(deck, kind)
         n, count = s.anchor.n, s.arrangements
         walk = digit_transition_counts(s.anchor, a)
@@ -468,6 +475,8 @@ class TestCurves:
         [
             ("1^2,2^2,3", FIXED_TARGET, 10**8),
             ("1^3,2^3", FIXED_SOURCE, 100),  # below 6!, above its 36 transitions
+            ("1,2,1,2,3,3", FIXED_SOURCE, 10**8),
+            ("1,2,2,1,3", FIXED_TARGET, 10**8),
         ],
     )
     def test_exact_routes(self, deck, kind, cap):
@@ -476,8 +485,9 @@ class TestCurves:
         assert curve == [
             exact_tvd_curve(s, [a], transition_cap=cap)[0] for a in self.PACKETS
         ]
-        # Both decks take the sweep; its rows, as a multiset, are the
-        # per-arrangement rows.
+        # The block decks take the DP over all counterparts and the others
+        # the sweep; the sweep's rows, as a multiset, are the
+        # per-arrangement rows for every deck.
         role = "source" if kind == FIXED_SOURCE else "target"
         family = descent_polynomial_family(s.anchor, role=role)
         assert Counter(map(tuple, family.counts.tolist())) == Counter(

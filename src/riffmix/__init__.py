@@ -106,6 +106,7 @@ _LAZY = {
         "sequence_to_permutation",
         "shuffle_weights",
     ),
+    "workers": ("descent_histograms",),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -37,6 +37,8 @@ from .shuffle import eulerian_row, shuffle_weights
 if TYPE_CHECKING:
     import numpy as np
 
+    from .cache import HistogramKey
+
 # Transition sets at or below this size are enumerated in pure Python;
 # larger ones go through a block-deck DP or the vectorized engine.
 _PLAIN_ENUM_MAX = 200
@@ -440,6 +442,38 @@ def digit_transition_counts(
 # Sampled histograms
 
 
+def _stored_start(
+    d1: Deck, d2: Deck, samples: int, seed: int, cache_dir: str | Path | None
+) -> tuple[HistogramKey, Path | None, list[int], int]:
+    """Where drawing one histogram starts: its cache key, the cache
+    directory in use (`RIFFMIX_CACHE_DIR` when `cache_dir` is None), and
+    the counts of the blocks already stored there, with how many.  Counts
+    its stored blocks cannot have drawn (a negative count, or a total
+    other than their samples) start from nothing.  Loads no sampler."""
+    from . import cache as _cache
+
+    transition_cardinality(d1, d2)
+    if samples < 1:
+        raise ValueError("sample count must be positive")
+    n = d1.n
+    if cache_dir is None:
+        cache_dir = _cache.default_cache_dir()
+    blocks = -(-samples // _BLOCK_SAMPLES)
+    key = _cache.HistogramKey(
+        deck_text(d1), deck_text(d2), samples, seed, blocks, SAMPLER_VERSION
+    )
+    if cache_dir is not None:
+        # An unusable directory is refused before any sampling.
+        cache_dir = _cache.ensure_dir(cache_dir)
+        cached = _cache.load(cache_dir, key)
+        if cached is not None:
+            stored, completed = cached
+            drawn = min(completed * _BLOCK_SAMPLES, samples)
+            if len(stored) == n and min(stored) >= 0 and sum(stored) == drawn:
+                return key, cache_dir, list(stored), completed
+    return key, cache_dir, [0] * n, 0
+
+
 def mc_descent_histogram(
     d1: Deck,
     d2: Deck,
@@ -459,32 +493,15 @@ def mc_descent_histogram(
     counts its completed blocks cannot have drawn (a negative count, or
     a total other than their samples) is redrawn.  The table engine and
     numpy load only when a block is left to draw, so a full cache hit
-    runs no sampler.
+    runs no sampler.  This draws one histogram in the calling process;
+    `workers.descent_histograms` spreads many over the usable CPUs.
     """
     from . import cache as _cache
 
-    transition_cardinality(d1, d2)
-    if samples < 1:
-        raise ValueError("sample count must be positive")
-    n = d1.n
-    if cache_dir is None:
-        cache_dir = _cache.default_cache_dir()
-    blocks = -(-samples // _BLOCK_SAMPLES)
-    key = _cache.HistogramKey(
-        deck_text(d1), deck_text(d2), samples, seed, blocks, SAMPLER_VERSION
+    key, cache_dir, counts, first_block = _stored_start(
+        d1, d2, samples, seed, cache_dir
     )
-    counts = [0] * n
-    first_block = 0
-    if cache_dir is not None:
-        # An unusable directory is refused before any sampling.
-        cache_dir = _cache.ensure_dir(cache_dir)
-        cached = _cache.load(cache_dir, key)
-        if cached is not None:
-            stored, completed = cached
-            drawn = min(completed * _BLOCK_SAMPLES, samples)
-            if len(stored) == n and min(stored) >= 0 and sum(stored) == drawn:
-                counts = list(stored)
-                first_block = completed
+    blocks = key.streams
     if first_block < blocks:
         from .tables import _LabelTables
 

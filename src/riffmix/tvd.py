@@ -51,6 +51,7 @@ if TYPE_CHECKING:
     from pathlib import Path
 
     from .approx import PairStatistics
+    from .descentpoly import DescentHistogram
 
 # Deviation bounds for the sampling estimator: (alpha, P(exceed) bound).
 ALPHA_TABLE: tuple[tuple[float, float], ...] = (
@@ -309,35 +310,43 @@ def _exact_coefficients(
     return exact_descent_polynomial(*s.pair(counterpart), cap=transition_cap).coefficients
 
 
+def _histograms(
+    s: Scenario,
+    counterparts: list[Deck],
+    seed: int,
+    hist_samples: int,
+    cache_dir: str | Path | None,
+) -> dict[Deck, DescentHistogram]:
+    """The sampled histogram of each distinct counterpart, seeded by the
+    counterpart itself; drawn by one `descent_histograms` call, in
+    first-appearance order."""
+    from .workers import descent_histograms
+
+    distinct = list(dict.fromkeys(counterparts))
+    jobs = [
+        (*s.pair(c), (_deck_fingerprint(c) ^ seed) & ((1 << 63) - 1))
+        for c in distinct
+    ]
+    return dict(zip(distinct, descent_histograms(jobs, hist_samples, cache_dir)))
+
+
 def _histogram_coefficients(
     s: Scenario,
     counterpart: Deck,
-    seed: int,
-    hist_samples: int,
+    histograms: dict[Deck, DescentHistogram],
     extrapolate: bool,
     fit_degree: int,
     min_count: int,
     window: tuple[int, int] | None,
-    cache_dir: str | Path | None,
     unfitted: list[tuple[str, ...]] | None,
 ) -> tuple[Fraction, ...] | tuple[float, ...]:
-    """Coefficient estimates from a sampled histogram, seeded by the
-    arrangement itself; with `extrapolate`, degrees outside the fit
-    window with fewer than `min_count` samples take the tail fit.  When
-    the window is automatic and the histogram too sparse for a fit, the
-    estimates stay unpatched and the cards are appended to `unfitted`.
-    A fitted vector takes the exact c_0 instead of any estimate."""
-    from .descentpoly import mc_descent_histogram
-
-    d1, d2 = s.pair(counterpart)
-    hist_seed = (_deck_fingerprint(counterpart) ^ seed) & ((1 << 63) - 1)
-    hist = mc_descent_histogram(
-        d1,
-        d2,
-        samples=hist_samples,
-        seed=hist_seed,
-        cache_dir=cache_dir,
-    )
+    """Coefficient estimates from the counterpart's sampled histogram in
+    `histograms`; with `extrapolate`, degrees outside the fit window with
+    fewer than `min_count` samples take the tail fit.  When the window is
+    automatic and the histogram too sparse for a fit, the estimates stay
+    unpatched and the cards are appended to `unfitted`.  A fitted vector
+    takes the exact c_0 instead of any estimate."""
+    hist = histograms[counterpart]
     estimates = hist.coefficient_estimates()
     if not extrapolate:
         return estimates
@@ -355,7 +364,7 @@ def _histogram_coefficients(
     lo, hi = fit.window
     # The identity is the only permutation without descents, so c_0 is
     # known exactly: 1 when the decks are equal, 0 otherwise.
-    return (float(d1 == d2),) + tuple(
+    return (float(hist.source == hist.target),) + tuple(
         float(e) if lo <= d <= hi or hist.counts[d] >= min_count else fit.predict(d)
         for d, e in enumerate(estimates[1:], start=1)
     )
@@ -441,7 +450,10 @@ def mc_tvd_curve(
     rounded `math.fsum` of the `k` terms over `k`, so it depends only on
     the arguments.  Repeated arrangements reuse their first terms, and
     histogram seeds are derived from the arrangement itself, so reuse is
-    consistent.
+    consistent.  The histogram backend draws all `k` arrangements first,
+    then the histograms of the distinct ones in one `descent_histograms`
+    call, which may spread them over worker processes; the values do not
+    depend on how many.
     """
     if k < 1:
         raise ValueError("sample count must be positive")
@@ -450,7 +462,7 @@ def mc_tvd_curve(
     uninformed: list[int] | None = None
     # Each branch loads the modules its backend runs before the first
     # arrangement is drawn: compiled after the draws, they raise peak RSS.
-    # The histogram sampler is the exception: `mc_descent_histogram` loads
+    # The histogram sampler is the exception: `descent_histograms` loads
     # `tables`, `codes` and numpy only when it has a block to draw, so a
     # run whose histograms are all cached loads none of them.
     if backend == "exact-oracle":
@@ -459,21 +471,21 @@ def mc_tvd_curve(
         method = "mc-exact-backend"
         coefficients = partial(_exact_coefficients, transition_cap=transition_cap)
     elif backend == "mc-histogram":
-        from . import cache, descentpoly  # noqa: F401
+        from . import cache, descentpoly, workers  # noqa: F401
 
         method = backend
         uninformed = [0] * len(packets)
         if extrapolate and window is None:
             unfitted = []
+        # Filled once every arrangement is drawn.
+        histograms: dict[Deck, DescentHistogram] = {}
         coefficients = partial(
             _histogram_coefficients,
-            seed=seed,
-            hist_samples=hist_samples,
+            histograms=histograms,
             extrapolate=extrapolate,
             fit_degree=fit_degree,
             min_count=min_count,
             window=window,
-            cache_dir=cache_dir,
             unfitted=unfitted,
         )
     elif backend == "normal-approx":
@@ -492,11 +504,14 @@ def mc_tvd_curve(
 
     weighted = [shuffle_weights(s.anchor.n, a) for a in packets]
     count = s.arrangements
-    memo: dict[tuple[str, ...], list[float]] = {}
     gen = PermutationStream(seed, PURPOSE_TVD)
+    counterparts = (sample_uniform_rearrangement(s.anchor, gen) for _ in range(k))
+    if backend == "mc-histogram":
+        counterparts = list(counterparts)
+        histograms.update(_histograms(s, counterparts, seed, hist_samples, cache_dir))
+    memo: dict[tuple[str, ...], list[float]] = {}
     draws = []
-    for _ in range(k):
-        counterpart = sample_uniform_rearrangement(s.anchor, gen)
+    for counterpart in counterparts:
         terms = memo.get(counterpart.cards)
         if terms is None:
             coeffs = coefficients(s, counterpart)

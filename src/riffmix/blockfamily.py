@@ -1,25 +1,29 @@
-"""Descent polynomials of every counterpart of a block deck, by one DP.
+"""Descent polynomials of block-deck pairs, by one DP.
 
-`exact_tvd_curve` needs, for a block anchor (each label's cards
-together), the multiset of descent polynomials over all counterpart
-arrangements: with `role="source"` the anchor is the source and the
-counterparts are targets, with `role="target"` the other way round.
-`family_rows` finds it without listing an arrangement or a transition.
+A block deck keeps each label's cards together.  When the source or the
+target of a pair is one, the anchor, the descent polynomial of the pair
+follows from a walk that enumerates nothing, at any size: `pair_row`.
+`exact_tvd_curve` needs, for a block anchor, the multiset of descent
+polynomials over all counterpart arrangements: with `role="source"` the
+anchor is the source and the counterparts are targets, with
+`role="target"` the other way round.  `family_rows` finds it without
+listing an arrangement or a transition.
 
 A member of a transition set maps source positions to target positions;
-its descents are read in source order.  The walk builds counterparts
+its descents are read in source order.  The walk builds the counterpart
 one choice at a time and keeps, for each partial counterpart, one
 polynomial per rank of the last target position among the positions
-still free.  The rest of the walk compares positions only by rank, so
-partial counterparts with equal (free counts, polynomials) share every
-continuation: they merge, and only their multiplicities add.  Each
-counterpart is reached by exactly one sequence of choices.
+still free.  `pair_row` takes the one choice its counterpart makes at
+each step.  `family_rows` takes every choice; the rest of the walk
+compares positions only by rank, so partial counterparts with equal
+(free counts, polynomials) share every continuation: they merge, and
+only their multiplicities add.  Each counterpart is reached by exactly
+one sequence of choices.
 
 A polynomial is one int holding its coefficient at degree d in bits
-[d * width, (d + 1) * width), as `blockdp` packs its states.  Every
-coefficient counts distinct partial members, so it is at most the
-transition cardinality prod_v m_v!, which fixes the width; sums and
-products of such counts then take no carry.
+[d * width, (d + 1) * width).  Every coefficient counts distinct partial
+members, so it is at most the transition cardinality prod_v m_v!, which
+fixes the width; sums and products of such counts then take no carry.
 """
 
 from __future__ import annotations
@@ -27,10 +31,17 @@ from __future__ import annotations
 import itertools
 import operator
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
-from .blockdp import is_block
-from .deck import Deck, deck_text, transition_cardinality
+from .deck import Deck, deck_text, label_positions, transition_cardinality
+
+
+def is_block(deck: Deck) -> bool:
+    """Whether each label's cards sit together in `deck`, as in
+    `1^4,...,13^4` or `1,2,...,52`."""
+    cards = deck.cards
+    return 1 + sum(map(operator.ne, cards, cards[1:])) == len(deck.counts)
 
 
 @lru_cache(maxsize=64)
@@ -72,64 +83,98 @@ def _label_table(m: int, width: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _label_steps(
+    vector: tuple[int, ...],
+    table: tuple[tuple[int, ...], ...],
+    gap_sets: Iterable[tuple[int, ...]],
+) -> Iterator[tuple[int, ...]]:
+    """The vector after a label of a block source, whose `_label_table`
+    is `table`, takes every free rank but the gaps, for each gap set of
+    `gap_sets` in turn.
+
+    Entry r of `vector` is the polynomial whose last target position has
+    rank r among the F = len(vector) - 1 free ones; r = 0 is below every
+    position.  The label, of m cards, takes every free rank but F - m gaps
+    c_0 < ... < c_{F-m-1} (c_{-1} = -1 and c_{F-m} = F bracket them).  Its
+    positions numbered c_{b-1} - b + 1 up to c_b - b - 1 from 0 sit above
+    b gaps, so its orders ending at one of them add up at rank b of the
+    new vector.  Entry r meets the label as a card above
+    r - #(gaps below r) of its positions, which picks the row of `table`.
+    """
+    free = len(vector) - 1
+    nonzero = [(r, p) for r, p in enumerate(vector) if p]
+    for gaps in gap_sets:
+        rows = [(p, table[r - bisect_left(gaps, r)]) for r, p in nonzero]
+        new = [0] * (len(gaps) + 1)
+        lo = 0
+        for b, c in enumerate(gaps + (free,)):
+            hi = c - b
+            if hi > lo:
+                new[b] = sum(p * (row[hi] - row[lo]) for p, row in rows)
+                lo = hi
+        yield tuple(new)
+
+
+def _card_step(below: list[int], base: int, c: int, width: int) -> tuple[int, ...]:
+    """The vector after a source card takes a target position of a label
+    whose c free positions lie at ranks base .. base + c - 1.
+
+    Entry r of the vector before is the polynomial whose last target
+    position has rank r among the free ones; `below` holds its running
+    sums.  Taking rank g adds a descent when r is above g, and leaves g
+    free ranks below the new last position.
+    """
+    total = below[-1]
+    new = [0] * (len(below) - 1)
+    for g in range(base, base + c):
+        new[g] = below[g] + ((total - below[g]) << width)
+    return tuple(new)
+
+
 def _source_walk(anchor: Deck, width: int) -> dict[int, int]:
     """Packed polynomial -> count of target decks, for block source `anchor`.
 
-    The labels are taken in source order.  A state is the vector P of
-    polynomials by the rank r of the last target position among the F
-    free ones (r = 0..F); the first label starts from P = (1, 0, ...),
-    whose r = 0 is below every position.  A label of m cards takes every
-    free rank but F - m gaps c_0 < ... < c_{F-m-1} (c_{-1} = -1 and
-    c_{F-m} = F bracket them).  Its positions numbered c_{b-1} - b + 1
-    up to c_b - b - 1 from 0 sit above b gaps, so its orders ending at
-    one of them add up at rank b of the new vector.  Entry r of P meets
-    the label as a card above r - #(gaps below r) of its positions, which
-    picks the row of `_label_table`.
+    The labels are taken in source order, each choosing its gaps among
+    the free ranks (`_label_steps`); the first label starts from
+    P = (1, 0, ...), and the last one takes every free rank.
     """
-    *walked, last = anchor.counts.values()
-    # The last label takes every free rank, so it only closes a vector:
-    # P[r] meets it above r of its positions.  The label before it keeps
-    # each closed polynomial instead of its vector.
-    closing = [row[-1] for row in _label_table(last, width)]
-    if not walked:
-        return {closing[0]: 1}
     states: dict = {(1,) + (0,) * anchor.n: 1}
-    for e, m in enumerate(walked, start=1):
+    for m in anchor.counts.values():
         table = _label_table(m, width)
         grown: dict = {}
         for vector, times in states.items():
             free = len(vector) - 1
-            nonzero = [(r, p) for r, p in enumerate(vector) if p]
-            for gaps in itertools.combinations(range(free), free - m):
-                rows = [(p, table[r - bisect_left(gaps, r)]) for r, p in nonzero]
-                new = [0] * (free - m + 1)
-                lo = 0
-                for b, c in enumerate(gaps + (free,)):
-                    hi = c - b
-                    if hi > lo:
-                        new[b] = sum(p * (row[hi] - row[lo]) for p, row in rows)
-                        lo = hi
-                if e < len(walked):
-                    key = tuple(new)
-                else:
-                    key = sum(map(operator.mul, new, closing))
+            gap_sets = itertools.combinations(range(free), free - m)
+            for key in _label_steps(vector, table, gap_sets):
                 grown[key] = grown.get(key, 0) + times
         states = grown
-    return states
+    return {vector[0]: times for vector, times in states.items()}
+
+
+def _source_pair(d1: Deck, d2: Deck, width: int) -> int:
+    """The packed polynomial of block source `d1` and target `d2`: each
+    label's gaps are the free target positions of the labels after it."""
+    positions = label_positions(d2)
+    free = list(range(1, d1.n + 1))
+    vector = (1,) + (0,) * d1.n
+    for lab, m in d1.counts.items():
+        mine = set(positions[lab])
+        gaps = tuple(r for r, p in enumerate(free) if p not in mine)
+        (vector,) = _label_steps(vector, _label_table(m, width), [gaps])
+        free = [p for p in free if p not in mine]
+    return vector[0]
 
 
 def _target_walk(anchor: Deck, width: int) -> dict[int, int]:
     """Packed polynomial -> count of source decks, for block target `anchor`.
 
     The source positions are taken in order, each choosing a label with
-    free target positions left.  A state is the vector P of polynomials
-    by the rank r of the last target position among the F free ones, and
-    the free count c_v of each label with any left, in the anchor's block
-    order: its free positions lie at ranks base_v .. base_v + c_v - 1.
-    Taking rank g adds a descent when r > g and leaves g free ranks below
-    the new last position.  Which labels are left does not matter to the
-    rest of the walk, only their counts in order, so a label is dropped
-    from the state with its last position.
+    free target positions left (`_card_step`).  A state is the vector of
+    polynomials and the free count c_v of each label with any left, in
+    the anchor's block order: its free positions lie at ranks
+    base_v .. base_v + c_v - 1.  Which labels are left does not matter to
+    the rest of the walk, only their counts in order, so a label is
+    dropped from the state with its last position.
     """
     n = anchor.n
     states = {(tuple(anchor.counts.values()), (1,) + (0,) * n): 1}
@@ -137,17 +182,60 @@ def _target_walk(anchor: Deck, width: int) -> dict[int, int]:
         grown: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for (free, vector), times in states.items():
             below = list(itertools.accumulate(vector))
-            total = below[-1]
             base = 0
             for v, c in enumerate(free):
-                new = [0] * (len(vector) - 1)
-                for g in range(base, base + c):
-                    new[g] = below[g] + ((total - below[g]) << width)
-                key = (free[:v] + (c - 1,) * (c > 1) + free[v + 1 :], tuple(new))
+                new = _card_step(below, base, c, width)
+                key = (free[:v] + (c - 1,) * (c > 1) + free[v + 1 :], new)
                 grown[key] = grown.get(key, 0) + times
                 base += c
         states = grown
     return {vector[0]: times for (_, vector), times in states.items()}
+
+
+def _target_pair(d1: Deck, d2: Deck, width: int) -> int:
+    """The packed polynomial of source `d1` and block target `d2`: each
+    source card takes its own label."""
+    labels = list(d2.counts)
+    free = list(d2.counts.values())
+    vector = (1,) + (0,) * d1.n
+    for lab in d1.cards:
+        v = labels.index(lab)
+        below = list(itertools.accumulate(vector))
+        vector = _card_step(below, sum(free[:v]), free[v], width)
+        free[v] -= 1
+    return vector[0]
+
+
+def _walks(d1: Deck, d2: Deck, role: str):
+    """The walk and pair functions of `role`, after checking that the
+    deck of the pair (d1, d2) in that role is a block deck."""
+    if role == "source":
+        anchor, walks = d1, (_source_walk, _source_pair)
+    elif role == "target":
+        anchor, walks = d2, (_target_walk, _target_pair)
+    else:
+        raise ValueError(f"role must be 'source' or 'target', got {role!r}")
+    if not is_block(anchor):
+        raise ValueError(f"not a block deck: {deck_text(anchor)}")
+    return walks
+
+
+def _row(poly: int, n: int, width: int) -> tuple[int, ...]:
+    """The n coefficients of a packed polynomial."""
+    mask = (1 << width) - 1
+    return tuple((poly >> (d * width)) & mask for d in range(n))
+
+
+def pair_row(d1: Deck, d2: Deck, role: str) -> tuple[int, ...]:
+    """Descent coefficients of the pair carrying `d1` onto `d2`, whose
+    source (`role="source"`) or target (`role="target"`) is a block deck.
+
+    The row sums to the transition cardinality prod_v m_v!.  Raises
+    `SignatureMismatchError` when the decks hold different cards.
+    """
+    _, pair = _walks(d1, d2, role)
+    width = transition_cardinality(d1, d2).bit_length()
+    return _row(pair(d1, d2, width), d1.n, width)
 
 
 def family_rows(anchor: Deck, role: str) -> dict[tuple[int, ...], int]:
@@ -158,18 +246,9 @@ def family_rows(anchor: Deck, role: str) -> dict[tuple[int, ...], int]:
     The multiplicities sum to the arrangement count, and each row to the
     transition cardinality prod_v m_v!.
     """
-    if not is_block(anchor):
-        raise ValueError(f"not a block deck: {deck_text(anchor)}")
-    n = anchor.n
+    walk, _ = _walks(anchor, anchor, role)
     width = transition_cardinality(anchor, anchor).bit_length()
-    if role == "source":
-        packed = _source_walk(anchor, width)
-    elif role == "target":
-        packed = _target_walk(anchor, width)
-    else:
-        raise ValueError(f"role must be 'source' or 'target', got {role!r}")
-    mask = (1 << width) - 1
     return {
-        tuple((poly >> (d * width)) & mask for d in range(n)): times
-        for poly, times in packed.items()
+        _row(poly, anchor.n, width): times
+        for poly, times in walk(anchor, width).items()
     }

@@ -197,9 +197,7 @@ def _resolve_scenario(args: argparse.Namespace):
     if args.scenario:
         return scenario(args.scenario)
     if not args.deck or not args.kind:
-        raise RiffmixError(
-            "need either --scenario or both --deck and --kind"
-        )
+        raise ValueError("need either --scenario or both --deck and --kind")
     return custom_scenario(_deck_arg(args.deck), args.kind)
 
 

@@ -7,11 +7,11 @@ carrying `d1` onto `d2` by descent count.  The coefficient vector
 
     P(a) = sum_d c[d] * w[d] / a^n,   w = shuffle_weights(n, a)
 
-Exact coefficients come from a DP over labels when either deck is a block
-deck (`blockdp`), and otherwise, or when the transition set is tiny, from
-exhaustive enumeration (vectorized when the transition set is large);
-estimated coefficients come from uniform sampling of the transition set,
-with per-degree reliability gauges.
+Exact coefficients come from a walk over the block deck when either deck
+is one (`blockfamily.pair_row`), and otherwise, or when the transition
+set is tiny, from exhaustive enumeration (vectorized when the transition
+set is large); estimated coefficients come from uniform sampling of the
+transition set, with per-degree reliability gauges.
 """
 
 from __future__ import annotations
@@ -181,15 +181,15 @@ def _counts_vectorized(d1: Deck, d2: Deck) -> list[int]:
 
 @lru_cache(maxsize=4096)
 def _exact_polynomial_cached(d1: Deck, d2: Deck) -> DescentPolynomial:
-    from .blockdp import is_block, source_counts, target_counts
+    from .blockfamily import is_block, pair_row
 
     card = transition_cardinality(d1, d2)
     if card <= _PLAIN_ENUM_MAX:
         counts = _counts_plain(d1, d2)
     elif is_block(d2):
-        counts = _coefficients_from_counts(target_counts(d1, d2))
+        counts = pair_row(d1, d2, "target")
     elif is_block(d1):
-        counts = _coefficients_from_counts(source_counts(d1, d2))
+        counts = pair_row(d1, d2, "source")
     elif max(d1.counts.values()) > _TABLE_MAX_MULT:
         counts = _counts_plain(d1, d2)
     else:
@@ -202,14 +202,15 @@ def exact_descent_polynomial(
 ) -> DescentPolynomial:
     """Classify every permutation carrying `d1` onto `d2` by descents.
 
-    A pair where either deck is a block deck is found by a DP at any
-    size.  Any other pair is enumerated: it raises `CapExceededError`
-    when the transition set is larger than `cap` (or than the int64
-    tally allows).  Raises `SignatureMismatchError` when the decks hold
-    different cards.  Results are memoized by deck pair, so repeated
-    queries for the same pair are free.
+    A pair where either deck is a block deck is found at any size by a
+    walk over that deck (`blockfamily.pair_row`).  Any other pair is
+    enumerated: it raises `CapExceededError` when the transition set is
+    larger than `cap` (or than the int64 tally allows).  Raises
+    `SignatureMismatchError` when the decks hold different cards.
+    Results are memoized by deck pair, so repeated queries for the same
+    pair are free.
     """
-    from .blockdp import is_block
+    from .blockfamily import is_block
 
     if is_block(d1) or is_block(d2):
         transition_cardinality(d1, d2)
@@ -524,23 +525,6 @@ def mc_descent_histogram(
 # Inverting probabilities back to coefficients
 
 
-def _coefficients_from_counts(counts: list) -> list:
-    """c_0..c_{n-1} from count(a) = a^n * P(a) = sum_d c_d C(a+n-d-1, n)
-    at a = 1..n, as `blockdp` counts them.
-
-    At packet count a, degree a - 1 weighs 1 and higher degrees 0, so
-    forward substitution solves the system exactly, in ints or
-    `Fraction`s alike.
-    """
-    n = len(counts)
-    # Degree d weighs C(a+n-d-1, n) = weights[n - a + d] at packet count a.
-    weights, _ = shuffle_weights(n, n)
-    coeffs: list = []
-    for a, count in enumerate(counts, start=1):
-        coeffs.append(count - sum(map(operator.mul, coeffs, weights[n - a :])))
-    return coeffs
-
-
 def probabilities_to_polynomial(
     probabilities: list[Fraction] | tuple[Fraction, ...], n: int
 ) -> tuple[int, ...]:
@@ -554,9 +538,13 @@ def probabilities_to_polynomial(
     """
     if len(probabilities) != n:
         raise ValueError(f"need probabilities for a = 1..{n}")
-    coeffs = _coefficients_from_counts(
-        [Fraction(p) * a**n for a, p in enumerate(probabilities, start=1)]
-    )
+    # count(a) = a^n * P(a) = sum_d c_d C(a+n-d-1, n), and degree d weighs
+    # C(a+n-d-1, n) = weights[n - a + d] at packet count a.
+    weights, _ = shuffle_weights(n, n)
+    coeffs: list[Fraction] = []
+    for a, p in enumerate(probabilities, start=1):
+        count = Fraction(p) * a**n
+        coeffs.append(count - sum(map(operator.mul, coeffs, weights[n - a :])))
     for d, val in enumerate(coeffs):
         if val.denominator != 1 or val < 0:
             raise InconsistentProbabilitiesError(

@@ -218,15 +218,13 @@ def exact_tvd_curve(
         unit = [(0,) * d + (1,) + (0,) * (n - d - 1) for d in range(n)]
         rows = Counter(dict(zip(unit, eulerian_row(n))))
     else:
-        from .blockdp import is_block
+        from .blockfamily import family_rows, is_block
 
         if count > arrangement_cap:
             raise CapExceededError(
                 f"scenario has {count} arrangements, above the cap of {arrangement_cap}"
             )
         if is_block(s.anchor):
-            from .blockfamily import family_rows
-
             rows = family_rows(s.anchor, role)
         else:
             from .descentpoly import _SWEEP_MAX_N, descent_polynomial_family
@@ -466,7 +464,7 @@ def mc_tvd_curve(
     # `tables`, `codes` and numpy only when it has a block to draw, so a
     # run whose histograms are all cached loads none of them.
     if backend == "exact-oracle":
-        from . import blockdp, descentpoly  # noqa: F401
+        from . import blockfamily, descentpoly  # noqa: F401
 
         method = "mc-exact-backend"
         coefficients = partial(_exact_coefficients, transition_cap=transition_cap)

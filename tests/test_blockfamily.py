@@ -5,10 +5,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from riffmix import (
+    descent_moments,
     descent_polynomial_family,
     enumerate_arrangements,
     exact_descent_polynomial,
@@ -66,15 +68,26 @@ def test_distinct_cards_give_the_eulerian_row(n, role):
 @pytest.mark.parametrize("role", ["source", "target"])
 @pytest.mark.parametrize("expr", ["1^5,2^6", "1,2^10,3^2"])
 def test_rows_above_the_sweep_are_the_per_arrangement_rows(expr, role):
-    # 11 and 13 cards: each pair's polynomial comes from `blockdp`.
+    # 11 and 13 cards.  Each pair's polynomial comes from `pair_row`, a
+    # walk of the same steps along one arrangement, so the closed-form
+    # moments of every pair check both independently.
     deck = parse_deck(expr)
-    want = Counter(
-        exact_descent_polynomial(
-            *((deck, c) if role == "source" else (c, deck))
-        ).coefficients
+    pairs = [
+        (deck, c) if role == "source" else (c, deck)
         for c in enumerate_arrangements(deck)
-    )
-    assert Counter(family_rows(deck, role)) == want
+    ]
+    want = Counter(exact_descent_polynomial(*pair).coefficients for pair in pairs)
+    rows = family_rows(deck, role)
+    assert Counter(rows) == want
+    got: Counter = Counter()
+    for row, times in rows.items():
+        total = sum(row)
+        mean = Fraction(sum(d * c for d, c in enumerate(row)), total)
+        square = Fraction(sum(d * d * c for d, c in enumerate(row)), total)
+        got[total, mean, square - mean**2] += times
+    members = math.prod(map(math.factorial, deck.counts.values()))
+    moments = (descent_moments(*pair) for pair in pairs)
+    assert got == Counter((members, m.mean, m.variance) for m in moments)
 
 
 def test_refuses_a_deck_that_is_not_a_block_deck():

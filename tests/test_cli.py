@@ -258,8 +258,9 @@ class TestTvd:
         assert 0.0 <= row.value <= 1.0
 
     def test_needs_scenario_or_deck(self, capsys):
+        # A missing flag is a usage error.
         code, _, err = run(capsys, "tvd", "--shuffles", "1")
-        assert code == 3
+        assert code == 2
         assert "--scenario" in err
 
     def test_unknown_scenario_is_a_usage_error(self, capsys):
@@ -653,6 +654,18 @@ class TestExitCodes:
             main(["bd", "--shuffles", "3"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--deck", "", "--kind", "fixed-source", "--shuffles", "1"),
+            ("--deck", "1^2,2^2", "--shuffles", "1"),
+        ],
+    )
+    def test_tvd_without_a_scenario_or_a_deck_and_kind_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "tvd", *argv)
+        assert (code, out) == (2, "")
+        assert "need either --scenario or both --deck and --kind" in err
 
     def test_bad_deck_expression_exits_3(self, capsys):
         code, _, err = run(

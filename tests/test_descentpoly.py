@@ -28,24 +28,24 @@ from riffmix import (
     probabilities_to_polynomial,
     probability_from_coefficients,
     sample_uniform_rearrangement,
+    scenario,
     sequence_to_permutation,
     shuffle_weights,
 )
 from riffmix import cache as cache_mod
 from riffmix import tables as tables_mod
+from riffmix.blockfamily import is_block, pair_row
 from riffmix.descentpoly import (
     _BLOCK_SAMPLES,
     _CHECKPOINT_BLOCKS,
     _SAMPLE_TABLE_MAX_MULT,
     _TABLE_MAX_MULT,
     SAMPLER_VERSION,
-    _coefficients_from_counts,
     _counts_plain,
     _counts_vectorized,
     _perm_table,
 )
 from riffmix.tables import _DRAW_CELLS, _SCORE_CELLS, _SCORE_COLUMNS, _LabelTables
-from riffmix.blockdp import is_block, source_counts, target_counts
 from riffmix.deck import (
     Permutation,
     _transition_images,
@@ -167,15 +167,7 @@ def test_distinct_rows_match_row_wise_unique(source, target, groups):
 
 
 # ---------------------------------------------------------------------------
-# Block decks: the label DP
-
-
-def block_dp(d1, d2, block):
-    """The DP's coefficients of (d1, d2), reading the block deck on the
-    `block` side ("source" or "target")."""
-    if block == "source":
-        return tuple(_coefficients_from_counts(source_counts(d1, d2)))
-    return tuple(_coefficients_from_counts(target_counts(d1, d2)))
+# Block decks: the walk over the block deck of one pair
 
 
 def block_pairs(gen, shape):
@@ -221,7 +213,7 @@ def test_block_dp_matches_enumeration(shape):
     gen = substream(19, *shape)
     for _ in range(2):
         for block, d1, d2 in block_pairs(gen, shape):
-            got = block_dp(d1, d2, block)
+            got = pair_row(d1, d2, block)
             assert got == tuple(_counts_vectorized(d1, d2)), (block, d1, d2)
             if transition_cardinality(d1, d2) <= 20_000:
                 assert got == tuple(_counts_plain(d1, d2)) == tally_images(d1, d2)
@@ -235,7 +227,7 @@ def test_block_dp_matches_digit_counts_and_moments(shape):
     # Enumerating a 10-card label takes seconds per pair; digit words at
     # two and three packets, and the moment formulas, take milliseconds.
     for block, d1, d2 in block_pairs(substream(20, *shape), shape):
-        coeffs = block_dp(d1, d2, block)
+        coeffs = pair_row(d1, d2, block)
         assert sum(coeffs) == transition_cardinality(d1, d2)
         for a in (2, 3):
             walk = digit_transition_counts(d1, a)
@@ -256,7 +248,7 @@ def test_block_dp_gives_unit_rows_on_distinct_decks():
         for block, d1, d2 in block_pairs(gen, (1,) * n):
             images = [d2.cards.index(c) + 1 for c in d1.cards]
             d = descents(Permutation(tuple(images)))
-            assert block_dp(d1, d2, block) == tuple(int(e == d) for e in range(n))
+            assert pair_row(d1, d2, block) == tuple(int(e == d) for e in range(n))
 
 
 @pytest.mark.parametrize(
@@ -270,11 +262,27 @@ def test_block_dp_gives_unit_rows_on_distinct_decks():
 )
 def test_both_block_dps_agree_at_52_cards(source, target):
     d1, d2 = parse_deck(source), parse_deck(target)
-    coeffs = block_dp(d1, d2, "source")
-    assert coeffs == block_dp(d1, d2, "target")
+    coeffs = pair_row(d1, d2, "source")
+    assert coeffs == pair_row(d1, d2, "target")
     assert sum(coeffs) == math.prod(math.factorial(m) for m in d1.counts.values())
     assert min(coeffs) >= 0
     assert exact_descent_polynomial(d1, d2, cap=1).coefficients == coeffs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["Blackjack1", "RedBlack1"])
+def test_block_source_walk_at_52_cards_matches_moments(name, seed):
+    # A fixed-source pair of a desk-scale scenario: the block source
+    # against a seeded uniform target, too large to enumerate.
+    d1 = scenario(name).anchor
+    d2 = sample_uniform_rearrangement(d1, substream(23, seed))
+    coeffs = pair_row(d1, d2, "source")
+    members = math.prod(math.factorial(m) for m in d1.counts.values())
+    assert sum(coeffs) == members
+    mean = Fraction(sum(d * c for d, c in enumerate(coeffs)), members)
+    square = Fraction(sum(d * d * c for d, c in enumerate(coeffs)), members)
+    moments = descent_moments(d1, d2)
+    assert (moments.mean, moments.variance) == (mean, square - mean**2)
 
 
 def test_exact_polynomial_cap():

@@ -92,7 +92,7 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
     # the normal backend run no descent-polynomial engine.  numpy loads only
     # where a vectorized engine runs, so these leave it unloaded.
     engines = (
-        "riffmix.blockdp",
+        "riffmix.blockfamily",
         "riffmix.cache",
         "riffmix.codes",
         "riffmix.descentpoly",
@@ -110,12 +110,12 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
         assert [m for m in slow if m in loaded] == [], argv
         # Set-up builds no exact value.
         assert ("fractions" in loaded) == ("mc-normal" in argv), argv
-    # The exact backend runs the block-deck DP, but neither the table
+    # The exact backend runs the block-deck walk, but neither the table
     # engine nor the histogram cache.
     argv = ["tvd", "--deck", "1^3,2^8", "--kind", "fixed-source"]
     argv += ["--shuffles", "2", "--method", "mc-exact", "--k", "2"]
     loaded = _command_modules(argv, 0)
-    assert "riffmix.blockdp" in loaded
+    assert "riffmix.blockfamily" in loaded
     unused = ("riffmix.cache", "riffmix.codes", "riffmix.tables", "numpy")
     assert [m for m in unused if m in loaded] == []
     assert [m for m in slow if m in loaded] == []
@@ -123,19 +123,19 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
     # polynomial small enough to enumerate in pure Python.
     argv = ["bd", "--n", "52", "--shuffles", "5..8"]
     loaded = _command_modules(argv, 0)
-    unused = ("riffmix.blockdp", "riffmix.descentpoly", "numpy")
+    unused = ("riffmix.blockfamily", "riffmix.descentpoly", "numpy")
     assert [m for m in unused + slow if m in loaded] == []
     argv = ["poly", "--source", "1^2,2^2", "--target", "1,2,1,2", "--format", "text"]
     loaded = _command_modules(argv, 0)
     assert "riffmix.cli_poly" in loaded
     assert [m for m in ("numpy",) + slow if m in loaded] == []
-    # The histogram backend runs the table engine, but not the DP.
+    # The histogram backend runs the table engine, but not the walk.
     argv = ["tvd", "--deck", "1^2,2^2", "--kind", "fixed-source", "--shuffles", "2"]
     argv += ["--method", "mc-hist", "--k", "2", "--hist-samples", "100"]
     loaded = _command_modules(argv, 0)
     assert "riffmix.tables" in loaded
     assert "numpy" in loaded
-    assert [m for m in ("riffmix.approx", "riffmix.blockdp") if m in loaded] == []
+    assert [m for m in ("riffmix.approx", "riffmix.blockfamily") if m in loaded] == []
     # The n! sweep is vectorized; it runs on a deck that is not a block deck.
     argv = ["tvd", "--deck", "1,2,1,2,3", "--kind", "fixed-source"]
     argv += ["--shuffles", "1", "--method", "exact"]

@@ -24,11 +24,8 @@ from riffmix import (  # noqa: E402
     sample_uniform_rearrangement,
     transition_cardinality,
 )
-from riffmix.blockdp import source_counts, target_counts  # noqa: E402
-from riffmix.descentpoly import (  # noqa: E402
-    _coefficients_from_counts,
-    _counts_vectorized,
-)
+from riffmix.blockfamily import pair_row  # noqa: E402
+from riffmix.descentpoly import _counts_vectorized  # noqa: E402
 from riffmix.rng import PermutationStream, substream  # noqa: E402
 
 
@@ -129,12 +126,8 @@ def test_moments_match_enumerated_polynomial(pair):
 @given(pairs_of(block_decks))
 def test_block_dp_matches_enumeration_in_both_roles(pair):
     block, other = pair
-    for d1, d2, counts in (
-        (block, other, source_counts),
-        (other, block, target_counts),
-    ):
-        coeffs = _coefficients_from_counts(counts(d1, d2))
-        assert coeffs == _counts_vectorized(d1, d2)
+    for d1, d2, role in ((block, other, "source"), (other, block, "target")):
+        assert list(pair_row(d1, d2, role)) == _counts_vectorized(d1, d2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,7 +2,8 @@
 
 A block deck keeps each label's cards together.  When the source or the
 target of a pair is one, the anchor, the descent polynomial of the pair
-follows from a walk that enumerates nothing, at any size: `pair_row`.
+follows from a walk that enumerates nothing, at any size: `pair_row`,
+and `block_row`, which picks the walk of a pair or says it has none.
 `exact_tvd_curve` needs, for a block anchor, the multiset of descent
 polynomials over all counterpart arrangements: with `role="source"` the
 anchor is the source and the counterparts are targets, with
@@ -236,6 +237,35 @@ def pair_row(d1: Deck, d2: Deck, role: str) -> tuple[int, ...]:
     _, pair = _walks(d1, d2, role)
     width = transition_cardinality(d1, d2).bit_length()
     return _row(pair(d1, d2, width), d1.n, width)
+
+
+def _member_row(d1: Deck, d2: Deck) -> tuple[int, ...]:
+    """Descent coefficients of a pair of distinct cards: the descents of
+    its one member, read in source order."""
+    at = {lab: p for p, lab in enumerate(d2.cards)}
+    images = [at[lab] for lab in d1.cards]
+    row = [0] * d1.n
+    row[sum(map(operator.gt, images, images[1:]))] = 1
+    return tuple(row)
+
+
+@lru_cache(maxsize=4096)
+def block_row(d1: Deck, d2: Deck) -> tuple[int, ...] | None:
+    """Descent coefficients of the pair carrying `d1` onto `d2` by the
+    walk over its target, when that is a block deck, else over its
+    source, when that is one (`pair_row`); None when neither is, and the
+    pair must be enumerated.  A pair of distinct cards, a block deck
+    either way, has one member and is read off it (`_member_row`).
+    Memoized by deck pair.  Raises `SignatureMismatchError` when the
+    decks hold different cards.
+    """
+    if transition_cardinality(d1, d2) == 1:
+        return _member_row(d1, d2)
+    if is_block(d2):
+        return pair_row(d1, d2, "target")
+    if is_block(d1):
+        return pair_row(d1, d2, "source")
+    return None
 
 
 def family_rows(anchor: Deck, role: str) -> dict[tuple[int, ...], int]:

@@ -14,8 +14,8 @@ Subcommands:
   descent tables; handlers in `cli_explore`).
 
 `main` imports a handler module only when its subcommand runs, so the
-other commands never compile it; the parser is built whole, so usage and
-help text cover every subcommand.
+other commands never compile it, and fills in the arguments of that
+subcommand alone; usage and help text still cover every subcommand.
 
 Output is CSV (versioned, machine-stable) or aligned text.  Exit codes:
 0 on success, 2 on usage errors, 3 when a cap or feasibility check
@@ -43,7 +43,7 @@ from .tvd import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Sequence
 
 CSV_TAG = "# riffmix csv v1"
 RESULT_HEADER = "scenario,shuffles,method,value,k,l,seed,err96,err999996"
@@ -291,39 +291,27 @@ def _handler(module: str, name: str) -> Callable[[argparse.Namespace], int]:
     return run
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="riffmix",
-        description=(
-            "How many riffle shuffles mix a deck, when cards repeat or "
-            "only part of the order matters."
-        ),
+def _add_format(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--format",
+        choices=("csv", "text"),
+        default="csv",
+        help="output format (default csv)",
     )
-    sub = top.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=("csv", "text"),
-            default="csv",
-            help="output format (default csv)",
-        )
 
-    p_bd = sub.add_parser(
-        "bd", help="distance from uniform for distinct cards, closed form"
-    )
+def _fill_bd(p_bd: argparse.ArgumentParser) -> None:
     p_bd.add_argument("--n", type=int, required=True, help="deck size")
     p_bd.add_argument(
         "--shuffles",
         required=True,
         help="riffle count or range, e.g. 7 or 1..10",
     )
-    add_format(p_bd)
+    _add_format(p_bd)
     p_bd.set_defaults(func=cmd_bd)
 
-    p_tvd = sub.add_parser(
-        "tvd", help="distance from uniform for a scenario"
-    )
+
+def _fill_tvd(p_tvd: argparse.ArgumentParser) -> None:
     p_tvd.add_argument(
         "--scenario",
         help="named scenario: " + ", ".join(scenario_names()),
@@ -359,12 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_tvd.add_argument("--cache-dir", default=None)
     p_tvd.add_argument("--arrangement-cap", type=int, default=10**6)
     p_tvd.add_argument("--transition-cap", type=int, default=10**8)
-    add_format(p_tvd)
+    _add_format(p_tvd)
     p_tvd.set_defaults(func=cmd_tvd)
 
-    p_poly = sub.add_parser(
-        "poly", help="descent coefficients of one transition"
-    )
+
+def _fill_poly(p_poly: argparse.ArgumentParser) -> None:
     p_poly.add_argument("--source", required=True)
     p_poly.add_argument("--target", required=True)
     p_poly.add_argument(
@@ -374,10 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--seed", type=int, default=0)
     p_poly.add_argument("--cap", type=int, default=10**8)
     p_poly.add_argument("--cache-dir", default=None)
-    add_format(p_poly)
+    _add_format(p_poly)
     p_poly.set_defaults(func=_handler("cli_poly", "cmd_poly"))
 
-    p_hard = sub.add_parser("hardness", help="decision instances")
+
+def _fill_hardness(p_hard: argparse.ArgumentParser) -> None:
     hard_sub = p_hard.add_subparsers(dest="hardness_command", required=True)
 
     def add_gen_args(p: argparse.ArgumentParser) -> None:
@@ -424,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bat.add_argument("--node-cap", type=int, default=2_000_000)
     p_bat.set_defaults(func=_handler("cli_hardness", "cmd_hardness_battery"))
 
-    p_exp = sub.add_parser("explore", help="structure explorers")
+
+def _fill_explore(p_exp: argparse.ArgumentParser) -> None:
     exp_sub = p_exp.add_subparsers(dest="explore_command", required=True)
 
     p_cls = exp_sub.add_parser(
@@ -439,12 +428,45 @@ def build_parser() -> argparse.ArgumentParser:
     p_mod.add_argument("--cap", type=int, default=10**7)
     p_mod.set_defaults(func=_handler("cli_explore", "cmd_explore_modh"))
 
+
+# Each subcommand's help line, and the function that adds its arguments.
+_SUBCOMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "bd": ("distance from uniform for distinct cards, closed form", _fill_bd),
+    "tvd": ("distance from uniform for a scenario", _fill_tvd),
+    "poly": ("descent coefficients of one transition", _fill_poly),
+    "hardness": ("decision instances", _fill_hardness),
+    "explore": ("structure explorers", _fill_explore),
+}
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The `riffmix` parser, every subcommand registered with its help.
+
+    When `argv` starts with a subcommand's name, only that subcommand gets
+    its arguments: parsing `argv` reads no other, and each `add_argument`
+    costs start-up time.  Otherwise every subcommand is filled in, so
+    usage, help and error text are those of the whole parser.
+    """
+    top = argparse.ArgumentParser(
+        prog="riffmix",
+        description=(
+            "How many riffle shuffles mix a deck, when cards repeat or "
+            "only part of the order matters."
+        ),
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    for name, (help_text, fill) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if only in (None, name):
+            fill(p)
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except RiffmixError as exc:

@@ -8,10 +8,10 @@ carrying `d1` onto `d2` by descent count.  The coefficient vector
     P(a) = sum_d c[d] * w[d] / a^n,   w = shuffle_weights(n, a)
 
 Exact coefficients come from a walk over the block deck when either deck
-is one (`blockfamily.pair_row`), and otherwise, or when the transition
-set is tiny, from exhaustive enumeration (vectorized when the transition
-set is large); estimated coefficients come from uniform sampling of the
-transition set, with per-degree reliability gauges.
+is one (`blockfamily.block_row`), and otherwise from exhaustive
+enumeration (vectorized when the transition set is large); estimated
+coefficients come from uniform sampling of the transition set, with
+per-degree reliability gauges.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ if TYPE_CHECKING:
 
     from .cache import HistogramKey
 
-# Transition sets at or below this size are enumerated in pure Python;
-# larger ones go through a block-deck DP or the vectorized engine.
+# Transition sets with no block deck are enumerated in pure Python at or
+# below this size, and by the vectorized engine above it.
 _PLAIN_ENUM_MAX = 200
 # Per-label permutation tables are materialized up to this multiplicity
 # when enumerating, and up to the second one when sampling; larger labels
@@ -181,16 +181,13 @@ def _counts_vectorized(d1: Deck, d2: Deck) -> list[int]:
 
 @lru_cache(maxsize=4096)
 def _exact_polynomial_cached(d1: Deck, d2: Deck) -> DescentPolynomial:
-    from .blockfamily import is_block, pair_row
-
-    card = transition_cardinality(d1, d2)
-    if card <= _PLAIN_ENUM_MAX:
-        counts = _counts_plain(d1, d2)
-    elif is_block(d2):
-        counts = pair_row(d1, d2, "target")
-    elif is_block(d1):
-        counts = pair_row(d1, d2, "source")
-    elif max(d1.counts.values()) > _TABLE_MAX_MULT:
+    """The enumerated polynomial of a pair with no block deck: in pure
+    Python when the transition set is tiny or a label too large for
+    tables, else vectorized."""
+    if (
+        transition_cardinality(d1, d2) <= _PLAIN_ENUM_MAX
+        or max(d1.counts.values()) > _TABLE_MAX_MULT
+    ):
         counts = _counts_plain(d1, d2)
     else:
         counts = _counts_vectorized(d1, d2)
@@ -203,19 +200,19 @@ def exact_descent_polynomial(
     """Classify every permutation carrying `d1` onto `d2` by descents.
 
     A pair where either deck is a block deck is found at any size by a
-    walk over that deck (`blockfamily.pair_row`).  Any other pair is
+    walk over that deck (`blockfamily.block_row`).  Any other pair is
     enumerated: it raises `CapExceededError` when the transition set is
     larger than `cap` (or than the int64 tally allows).  Raises
     `SignatureMismatchError` when the decks hold different cards.
     Results are memoized by deck pair, so repeated queries for the same
     pair are free.
     """
-    from .blockfamily import is_block
+    from .blockfamily import block_row
 
-    if is_block(d1) or is_block(d2):
-        transition_cardinality(d1, d2)
-    else:
-        _capped_cardinality(d1, d2, min(cap, _COUNT_MAX))
+    row = block_row(d1, d2)
+    if row is not None:
+        return DescentPolynomial(d1, d2, row)
+    _capped_cardinality(d1, d2, min(cap, _COUNT_MAX))
     return _exact_polynomial_cached(d1, d2)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -27,6 +26,8 @@ from .deck import Permutation, descents
 from .rng import PURPOSE_TRANSITION_SAMPLE, substream
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 
@@ -108,5 +109,7 @@ def permutation_probability(p: Permutation, a: int) -> Fraction:
     degree-`d` weight of `shuffle_weights` over a^n, and vanishes
     exactly when `d >= a`.
     """
+    from fractions import Fraction
+
     weights, denom = shuffle_weights(p.n, a)
     return Fraction(weights[descents(p)], denom)

@@ -302,10 +302,17 @@ def _deck_fingerprint(deck: Deck) -> int:
 def _exact_coefficients(
     s: Scenario, counterpart: Deck, transition_cap: int
 ) -> tuple[int, ...]:
-    """Exact transition polynomial."""
+    """Exact transition polynomial: the block-deck walk when the pair has
+    one (`block_row`), else enumeration, refused above `transition_cap`."""
+    from .blockfamily import block_row
+
+    pair = s.pair(counterpart)
+    row = block_row(*pair)
+    if row is not None:
+        return row
     from .descentpoly import exact_descent_polynomial
 
-    return exact_descent_polynomial(*s.pair(counterpart), cap=transition_cap).coefficients
+    return exact_descent_polynomial(*pair, cap=transition_cap).coefficients
 
 
 def _histograms(
@@ -390,13 +397,13 @@ def _terms(
 ) -> list[float]:
     """One arrangement's share max(0, 1 - N * P) of the distance at each
     `shuffle_weights` pair of `weighted`.  Vectors of ints or `Fraction`s
-    are scored exactly by `_gaps`; float vectors are summed in degree
-    order, each weight taken over a^n first."""
+    are scored exactly by `_gaps`, then rounded once by the true division
+    gap / a^n: of ints, which Python rounds correctly, or of a `Fraction`,
+    whose `float` is that same int division.  Float vectors are summed in
+    degree order, each weight taken over a^n first."""
     if not isinstance(coefficients[0], float):
-        from fractions import Fraction
-
         return [
-            float(Fraction(gap, denom)) if gap > 0 else 0.0
+            float(gap / denom) if gap > 0 else 0.0
             for gap, (_, denom) in zip(_gaps(coefficients, weighted, count), weighted)
         ]
     terms = []
@@ -464,7 +471,12 @@ def mc_tvd_curve(
     # `tables`, `codes` and numpy only when it has a block to draw, so a
     # run whose histograms are all cached loads none of them.
     if backend == "exact-oracle":
-        from . import blockfamily, descentpoly  # noqa: F401
+        from .blockfamily import is_block
+
+        # Every pair holds the anchor, so a block anchor gives every pair
+        # a walk and leaves nothing to enumerate.
+        if not is_block(s.anchor):
+            from . import descentpoly  # noqa: F401
 
         method = "mc-exact-backend"
         coefficients = partial(_exact_coefficients, transition_cap=transition_cap)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -16,8 +17,10 @@ from riffmix import (
     exact_descent_polynomial,
     parse_deck,
 )
-from riffmix.blockfamily import family_rows
+from riffmix.blockfamily import block_row, family_rows, pair_row
 from riffmix.deck import arrangement_count
+from riffmix.errors import SignatureMismatchError
+from riffmix.descentpoly import _counts_plain
 from riffmix.shuffle import eulerian_row
 
 
@@ -88,6 +91,41 @@ def test_rows_above_the_sweep_are_the_per_arrangement_rows(expr, role):
     members = math.prod(map(math.factorial, deck.counts.values()))
     moments = (descent_moments(*pair) for pair in pairs)
     assert got == Counter((members, m.mean, m.variance) for m in moments)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [sizes for sizes in BLOCK_DECKS if sum(sizes) <= 6],
+    ids=lambda s: ",".join(map(str, s)),
+)
+def test_block_row_is_the_enumerated_row_of_every_small_pair(sizes):
+    # Pairs of up to 6 cards, of up to 720 members, which `_counts_plain`
+    # lists whole; the block deck is the source of one pair and the target
+    # of the other.
+    deck = block_deck(sizes)
+    for c in enumerate_arrangements(deck):
+        for d1, d2 in ((deck, c), (c, deck)):
+            assert block_row(d1, d2) == tuple(_counts_plain(d1, d2)), (d1, d2)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_row_of_distinct_cards_is_its_one_member(seed):
+    # 52 distinct cards, as in BayerDiaconis: a one-member pair, read off
+    # its member, must give the row of both walks and of enumeration.
+    cards = list(range(1, 53))
+    random.Random(seed).shuffle(cards)
+    deck, c = block_deck((1,) * 52), parse_deck(",".join(map(str, cards)))
+    for d1, d2 in ((deck, c), (c, deck)):
+        row = block_row(d1, d2)
+        assert row == tuple(_counts_plain(d1, d2))
+        assert row == pair_row(d1, d2, "source") == pair_row(d1, d2, "target")
+    with pytest.raises(SignatureMismatchError):
+        block_row(deck, parse_deck(",".join(map(str, range(2, 54)))))
+
+
+def test_block_row_leaves_pairs_without_a_block_deck_to_enumeration():
+    d1, d2 = parse_deck("1,2,1,2"), parse_deck("2,1,1,2")
+    assert block_row(d1, d2) is None
 
 
 def test_refuses_a_deck_that_is_not_a_block_deck():

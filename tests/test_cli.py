@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import math
 import os
 import subprocess
@@ -13,7 +14,14 @@ import pytest
 
 import riffmix
 from riffmix import digit_transition_counts, parse_deck, probability_from_coefficients
-from riffmix.cli import CSV_TAG, POLY_HEADER, RESULT_HEADER, ResultRow, main
+from riffmix.cli import (
+    CSV_TAG,
+    POLY_HEADER,
+    RESULT_HEADER,
+    ResultRow,
+    build_parser,
+    main,
+)
 from riffmix.hardness import MatchingInstance, MinCutsInstance, RiffleInstance, parse_instance
 
 
@@ -673,3 +681,71 @@ class TestExitCodes:
         )
         assert code == 3
         assert err
+
+
+def exits(capsys, parse, argv):
+    """The stdout, stderr and exit code of `parse(argv)`, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+class TestParser:
+    """`main` fills in the arguments of the invoked subcommand alone; what
+    it prints and how it exits are those of the whole parser."""
+
+    COMMANDS = [
+        [],
+        ["bd"],
+        ["tvd"],
+        ["poly"],
+        ["hardness"],
+        ["hardness", "gen"],
+        ["hardness", "reduce"],
+        ["hardness", "solve"],
+        ["hardness", "battery"],
+        ["explore"],
+        ["explore", "classes"],
+        ["explore", "modh"],
+    ]
+
+    @pytest.mark.parametrize("tail", [["--help"], ["--no-such-flag"]])
+    @pytest.mark.parametrize(
+        "command", COMMANDS, ids=[" ".join(c) or "top" for c in COMMANDS]
+    )
+    def test_help_and_flag_errors_are_the_whole_parsers(self, capsys, command, tail):
+        argv = command + tail
+        want = exits(capsys, build_parser().parse_args, argv)
+        assert want[2] == (0 if tail == ["--help"] else 2)
+        assert exits(capsys, main, argv) == want
+
+    @pytest.mark.parametrize(
+        "argv, code, text",
+        [
+            ([], 2, "the following arguments are required: command"),
+            (["frobnicate"], 2, "invalid choice: 'frobnicate'"),
+            (["frobnicate", "--help"], 2, "invalid choice: 'frobnicate'"),
+            (["-h", "tvd"], 0, "{bd,tvd,poly,hardness,explore}"),
+        ],
+    )
+    def test_no_subcommand_gets_the_whole_parser(self, capsys, argv, code, text):
+        want = exits(capsys, build_parser().parse_args, argv)
+        assert want[2] == code
+        assert text in want[0] + want[1]
+        assert exits(capsys, main, argv) == want
+
+    def test_only_the_invoked_subcommand_gets_its_arguments(self):
+        def filled(argv):
+            (sub,) = [
+                a
+                for a in build_parser(argv)._actions
+                if isinstance(a, argparse._SubParsersAction)
+            ]
+            assert list(sub.choices) == ["bd", "tvd", "poly", "hardness", "explore"]
+            # A subcommand left empty holds only its -h.
+            return [name for name, p in sub.choices.items() if len(p._actions) > 1]
+
+        assert filled(["tvd", "--shuffles", "1"]) == ["tvd"]
+        assert filled(["explore", "modh"]) == ["explore"]
+        assert len(filled(None)) == len(filled(["-h"])) == len(filled(["x"])) == 5

@@ -110,15 +110,28 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
         assert [m for m in slow if m in loaded] == [], argv
         # Set-up builds no exact value.
         assert ("fractions" in loaded) == ("mc-normal" in argv), argv
-    # The exact backend runs the block-deck walk, but neither the table
-    # engine nor the histogram cache.
-    argv = ["tvd", "--deck", "1^3,2^8", "--kind", "fixed-source"]
+    # On a block deck, in either kind, the exact backend runs the block-deck
+    # walk and scores its int rows without fractions: it loads neither the
+    # enumeration module, nor the table engine, nor the histogram cache.
+    for kind in ("fixed-source", "fixed-target"):
+        argv = ["tvd", "--deck", "1^3,2^8", "--kind", kind]
+        argv += ["--shuffles", "2", "--method", "mc-exact", "--k", "2"]
+        loaded = _command_modules(argv, 0)
+        used = ("riffmix.blockfamily", "riffmix.shuffle")
+        assert [m for m in used if m not in loaded] == [], kind
+        unused = (
+            "riffmix.cache",
+            "riffmix.codes",
+            "riffmix.descentpoly",
+            "riffmix.tables",
+            "fractions",
+            "numpy",
+        )
+        assert [m for m in unused + slow if m in loaded] == [], kind
+    # A deck that is not a block deck leaves pairs to enumerate.
+    argv = ["tvd", "--deck", "1,2,1,2,3", "--kind", "fixed-source"]
     argv += ["--shuffles", "2", "--method", "mc-exact", "--k", "2"]
-    loaded = _command_modules(argv, 0)
-    assert "riffmix.blockfamily" in loaded
-    unused = ("riffmix.cache", "riffmix.codes", "riffmix.tables", "numpy")
-    assert [m for m in unused if m in loaded] == []
-    assert [m for m in slow if m in loaded] == []
+    assert "riffmix.descentpoly" in _command_modules(argv, 0)
     # The closed form, which needs no polynomial engine, and a README
     # polynomial small enough to enumerate in pure Python.
     argv = ["bd", "--n", "52", "--shuffles", "5..8"]

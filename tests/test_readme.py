@@ -14,7 +14,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # Examples run only in part or not at all, by their leading arguments.
 SKIPPED = {
     ("tvd", "--scenario", "redblack1", "--shuffles", "3..5", "--method", "mc-hist"): (
-        "mc-hist run takes about 10 s on one core"
+        "mc-hist run takes 4-5 s on two CPUs and 7-9 s on one"
     ),
     ("hardness", "battery"): "its output is cut with '...'",
 }

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -32,7 +33,8 @@ from riffmix import (
     scenario_names,
 )
 from riffmix.rng import PURPOSE_TVD, substream
-from riffmix.tvd import _deck_fingerprint, distinct_scenario
+from riffmix.shuffle import shuffle_weights
+from riffmix.tvd import _deck_fingerprint, _gaps, _terms, distinct_scenario
 
 
 def riffle_result(cards, digits, a):
@@ -537,3 +539,33 @@ class TestCurves:
         (est,) = mc_tvd_curve(s, [2], k=30, seed=4, backend="normal-approx")
         exact = mc_tvd_curve(s, [2], k=30, seed=4)[0]
         assert est.value == exact.value
+
+
+@pytest.mark.parametrize(
+    "n, shuffles",
+    [(5, range(6)), (12, range(9)), (52, (3, 5, 8, 20)), (52, (70,))],
+)
+def test_exact_terms_are_the_fraction_terms_bit_for_bit(n, shuffles):
+    # Exact vectors are scored as gap / a^n, which rounds once.  Each term
+    # must be the float of the Fraction gap / a^n, as they were scored
+    # before, also where a^n is above the float range (2^(70 * 52)).
+    weighted = [shuffle_weights(n, 2**s) for s in shuffles]
+    gen = random.Random(25 * n + len(weighted))
+    for case in range(300):
+        # Entries of up to as many digits as n!, and a count that puts
+        # N * P near 1 at one packet count, so that gaps carry many bits.
+        size = 10 ** gen.randrange(1, len(str(math.factorial(n))) + 1)
+        row = [gen.randrange(size) for _ in range(n)]
+        if case % 2:
+            row = [Fraction(c, gen.randrange(1, 10**4)) for c in row]
+        row[0] += 1  # every weight is positive at degree 0, so P > 0
+        weights, denom = gen.choice(weighted)
+        total = sum(c * w for c, w in zip(row, weights))
+        share = Fraction(gen.randrange(20, 180), 100)
+        count = max(1, math.floor(share * denom / total))
+        want = [
+            float(Fraction(gap, d)) if gap > 0 else 0.0
+            for gap, (_, d) in zip(_gaps(row, weighted, count), weighted)
+        ]
+        got = _terms(row, weighted, count)
+        assert [t.hex() for t in got] == [t.hex() for t in want], (row, count)

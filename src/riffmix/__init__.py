@@ -71,13 +71,12 @@ _LAZY = {
     "approx": (
         "DescentMoments",
         "PairStatistics",
-        "TailFit",
         "descent_moments",
         "normal_coefficient_estimate",
         "normal_error_bound_applies",
         "normal_polynomial_estimate",
-        "tail_extrapolate",
     ),
+    "tailfit": ("TailFit", "tail_extrapolate"),
     "hardness": (
         "MatchingInstance",
         "MinCutsInstance",

@@ -1,11 +1,9 @@
 """Approximating descent coefficients without full enumeration.
 
-Two routes are provided.  The first computes the exact mean and variance
-of the descent count of a uniform transition and places a discretized
-normal curve with those moments; this scales to decks far beyond
-enumeration.  The second fits a low-degree polynomial to the logarithm
-of sampled coefficient estimates over the degrees a histogram populates
-well, then reads the fit where the histogram is empty or unreliable.
+The exact mean and variance of the descent count of a uniform transition
+place a discretized normal curve with those moments; this scales to
+decks far beyond enumeration.  (The other approximation, a tail fit to a
+sampled histogram, is in `tailfit`.)
 
 Moment computation works purely with target-position statistics.  Write
 P_c for the sorted target positions of label c.  A uniform transition
@@ -19,9 +17,9 @@ triples of positions, which the `PairStatistics` helper tabulates.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from fractions import Fraction
 from itertools import repeat
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
@@ -30,7 +28,7 @@ from .deck import Deck, label_positions, transition_cardinality
 from .errors import CapExceededError, DegenerateDistributionError
 
 if TYPE_CHECKING:
-    from .descentpoly import DescentHistogram
+    from fractions import Fraction
 
 
 class DescentMoments(NamedTuple):
@@ -188,10 +186,81 @@ class PairStatistics:
         return hits * sd * ud - draws * sn * un, draws * sd * ud
 
 
-def _total(acc: Counter[int]) -> Fraction:
-    """The sum of num/den over the entries den -> num of `acc`."""
+def _total(acc: dict[int, int]) -> tuple[int, int]:
+    """The sum of num/den over the entries den -> num of `acc`, as an
+    unreduced (num, den) pair."""
     den = math.lcm(*acc)
-    return Fraction(sum(num * (den // d) for d, num in acc.items()), den)
+    return sum(num * (den // d) for d, num in acc.items()), den
+
+
+def _moment_sums(
+    cards: tuple[str, ...], st: PairStatistics
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Mean and variance of the descent count of a uniform permutation
+    carrying the deck `cards` onto `st.target`, which holds the same
+    cards, as unreduced (num, den) int pairs with den > 0; the formula is
+    that of `descent_moments`.  Each term is read from `st`'s memo by the
+    key this loop already holds, and computed only on a miss."""
+    types = Counter(zip(cards, cards[1:]))
+    # Sums of fractions, kept as denominator -> numerator until the end:
+    # the mean, the variances s(1 - s) of single boundaries, and the
+    # covariances, which the variance counts twice.
+    mean_sum: dict[int, int] = {}
+    var_sum: dict[int, int] = {}
+    cov_sum: dict[int, int] = {}
+    mean_get, var_get, cov_get = mean_sum.get, var_sum.get, cov_sum.get
+    memo = st._single.get
+    for t, k in types.items():
+        num, den = memo(t) or st.single(*t)
+        mean_sum[den] = mean_get(den, 0) + k * num
+        num, den = k * num * (den - num), den * den
+        var_sum[den] = var_get(den, 0) + num
+    # Consecutive mixed boundaries, by ordered type pair; the products
+    # of type counts below count them too, and they are not disjoint.
+    touching: dict[tuple[tuple[str, str], tuple[str, str]], int] = {}
+    touching_get = touching.get
+    memo = st._adjacent.get
+    for abc, k in Counter(zip(cards, cards[1:], cards[2:])).items():
+        num, den = memo(abc) or st.adjacent_covariance(*abc)
+        cov_sum[den] = cov_get(den, 0) + k * num
+        a, b, c = abc
+        if a != b != c:
+            pair = ((a, b), (b, c)) if (a, b) < (b, c) else ((b, c), (a, b))
+            touching[pair] = touching_get(pair, 0) + k
+    # Mixed (not monochrome) types, listed under each of their labels.
+    mixed = [t for t in types if t[0] != t[1]]
+    by_label: dict[str, set[tuple[str, str]]] = {}
+    for t in mixed:
+        for lab in t:
+            by_label.setdefault(lab, set()).add(t)
+    memo = st._disjoint.get
+    for t in mixed:
+        kt = types[t]
+        for u in by_label[t[0]] | by_label[t[1]]:
+            if t <= u:
+                # Disjoint pairs of boundaries with types t and u.
+                pair = (t, u)
+                k = kt * (kt - 1) // 2 if t == u else kt * types[u]
+                k -= touching_get(pair, 0)
+                if k:
+                    num, den = memo(pair) or st.disjoint_covariance(t, u)
+                    cov_sum[den] = cov_get(den, 0) + k * num
+    (vn, vd), (cn, cd) = _total(var_sum), _total(cov_sum)
+    variance = vn * cd + 2 * cn * vd, vd * cd
+    if variance[0] < 0:
+        raise ArithmeticError(
+            f"negative variance {variance[0]}/{variance[1]}; this is a bug"
+        )
+    return _total(mean_sum), variance
+
+
+def _target_statistics(target: Deck, stats: PairStatistics | None) -> PairStatistics:
+    """`stats` when it was built for `target`, else fresh statistics."""
+    if stats is None:
+        return PairStatistics(target)
+    if stats.target is not target and stats.target != target:
+        raise ValueError("stats was built for a different target deck")
+    return stats
 
 
 def descent_moments(
@@ -207,60 +276,43 @@ def descent_moments(
     consecutive boundaries, and twice the `disjoint_covariance` of each
     pair of non-touching boundaries whose types share a label and are
     not monochrome; all other pairs are independent.  So the work per
-    call grows with the number of distinct types, not with n^2.
+    call grows with the number of distinct types, not with n^2.  The
+    sums are kept as integers per denominator, and made `Fraction`s only
+    at the end.
 
     Callers sweeping many source decks against one target can pass the
     target's `PairStatistics` to reuse its memoized terms.
     """
+    from fractions import Fraction
+
     transition_cardinality(d1, d2)
-    if stats is not None and stats.target is not d2 and stats.target != d2:
-        raise ValueError("stats was built for a different target deck")
-    st = stats if stats is not None else PairStatistics(d2)
-    cards = d1.cards
-    types = Counter(zip(cards, cards[1:]))
-    # Sums of fractions, kept as denominator -> numerator until the end.
-    mean_sum: Counter[int] = Counter()
-    var_sum: Counter[int] = Counter()
-    for (a, b), k in types.items():
-        num, den = st.single(a, b)
-        mean_sum[den] += k * num
-        var_sum[den * den] += k * num * (den - num)
-    # Consecutive mixed boundaries, by unordered type pair; the products
-    # of type counts below count them too, and they are not disjoint.
-    touching: Counter[tuple[tuple[str, str], tuple[str, str]]] = Counter()
-    for (a, b, c), k in Counter(zip(cards, cards[1:], cards[2:])).items():
-        num, den = st.adjacent_covariance(a, b, c)
-        var_sum[den] += 2 * k * num
-        if a != b != c:
-            touching[min((a, b), (b, c)), max((a, b), (b, c))] += k
-    # Mixed (not monochrome) types, listed under each of their labels.
-    mixed = [t for t in types if t[0] != t[1]]
-    by_label: dict[str, set[tuple[str, str]]] = {}
-    for t in mixed:
-        for lab in t:
-            by_label.setdefault(lab, set()).add(t)
-    for t in mixed:
-        for u in by_label[t[0]] | by_label[t[1]]:
-            if t <= u:
-                # Disjoint pairs of boundaries with types t and u.
-                k = types[t] * (types[u] - 1) // 2 if t == u else types[t] * types[u]
-                k -= touching[t, u]
-                if k:
-                    num, den = st.disjoint_covariance(t, u)
-                    var_sum[den] += 2 * k * num
-    mean, variance = _total(mean_sum), _total(var_sum)
-    if variance < 0:
-        raise ArithmeticError(f"negative variance {variance}; this is a bug")
-    return DescentMoments(d1.n, mean, variance)
+    mean, variance = _moment_sums(d1.cards, _target_statistics(d2, stats))
+    return DescentMoments(d1.n, Fraction(*mean), Fraction(*variance))
 
 
 # ---------------------------------------------------------------------------
 # Normal-curve coefficient estimates
 
+_SQRT2 = math.sqrt(2.0)
+
 
 def _phi(z: float) -> float:
     """Standard normal CDF."""
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    return 0.5 * (1.0 + math.erf(z / _SQRT2))
+
+
+def _float_count(count: int, what: str) -> float:
+    """`count` as a float, as normal estimates are computed and scored.
+
+    Raises `CapExceededError`, naming `what`, beyond the float range.
+    """
+    try:
+        return float(count)
+    except OverflowError:
+        raise CapExceededError(
+            f"{what} of about 10^{math.log10(count):.0f} exceeds the float "
+            f"range (at most {sys.float_info.max:.4g}) of normal estimates"
+        ) from None
 
 
 def normal_coefficient_estimate(
@@ -270,7 +322,8 @@ def normal_coefficient_estimate(
     a normal with the transition's moments puts on (d-1/2, d+1/2).
 
     Raises `DegenerateDistributionError` when the variance vanishes; the
-    distribution is then a point mass and needs no curve.
+    distribution is then a point mass and needs no curve.  Raises
+    `CapExceededError` when `cardinality` exceeds the float range.
     """
     if moments.variance == 0:
         raise DegenerateDistributionError(
@@ -282,7 +335,14 @@ def normal_coefficient_estimate(
     sigma = moments.sigma
     hi = _phi((d + 0.5 - mu) / sigma)
     lo = _phi((d - 0.5 - mu) / sigma)
-    return cardinality * (hi - lo)
+    return _float_count(cardinality, "transition count") * (hi - lo)
+
+
+def _bound_applies(mean: tuple[int, int], variance: tuple[int, int]) -> bool:
+    """`normal_error_bound_applies` for (num, den) int pairs, by
+    cross-multiplying the positive denominators."""
+    (mn, md), (vn, vd) = mean, variance
+    return vn**3 * md**2 > 294**2 * mn**2 * vd**3
 
 
 def normal_error_bound_applies(moments: DescentMoments) -> bool:
@@ -293,160 +353,54 @@ def normal_error_bound_applies(moments: DescentMoments) -> bool:
     exactly.  Outside the regime the estimate is still often usable; this
     flag only reports whether the guarantee applies.
     """
-    return moments.variance**3 > 294**2 * moments.mean**2
+    mean, variance = moments.mean, moments.variance
+    return _bound_applies(
+        (mean.numerator, mean.denominator),
+        (variance.numerator, variance.denominator),
+    )
+
+
+def _normal_vector(
+    n: int, mean: tuple[int, int], variance: tuple[int, int], cardinality: int
+) -> tuple[int, ...] | tuple[float, ...]:
+    """The estimated coefficients at degrees 0..n-1 of a transition with
+    `cardinality` members and the (num, den) moments `mean` and `variance`.
+
+    A zero variance gives the exact point mass in integers.  Otherwise the
+    n + 1 cell edges d - 1/2 take one CDF point each, and degree d gets
+    the float cardinality times the difference of its two edges: d + 1/2
+    and (d + 1) - 1/2 are one float, so each value is bit for bit
+    `normal_coefficient_estimate`'s.
+    """
+    if variance[0] == 0:
+        d, rem = divmod(*mean)
+        if rem:
+            raise ArithmeticError(
+                "deterministic descent count is not an integer; this is a bug"
+            )
+        return tuple(cardinality if j == d else 0 for j in range(n))
+    scale = _float_count(cardinality, "transition count")
+    mu = mean[0] / mean[1]
+    sigma = math.sqrt(variance[0] / variance[1])
+    edges = [_phi((d - 0.5 - mu) / sigma) for d in range(n + 1)]
+    return tuple([scale * (hi - lo) for lo, hi in zip(edges, edges[1:])])
 
 
 def normal_polynomial_estimate(
     d1: Deck, d2: Deck, stats: PairStatistics | None = None
 ) -> tuple[DescentMoments, tuple[int, ...] | tuple[float, ...]]:
-    """All degrees at once: moments plus the estimated coefficient vector.
+    """All degrees at once: moments plus the estimated coefficient vector,
+    equal at each degree to `normal_coefficient_estimate`.
 
     When the descent count is deterministic the vector is the exact point
     mass, every transition at the one degree, in integers.  `stats` is
-    passed on to `descent_moments`.
+    used as by `descent_moments`.  Raises `CapExceededError`, before any
+    moment is computed, when the transition count exceeds the float range.
     """
-    moments = descent_moments(d1, d2, stats)
+    from fractions import Fraction
+
     m = transition_cardinality(d1, d2)
-    if moments.variance == 0:
-        d = int(moments.mean)
-        if moments.mean != d:
-            raise ArithmeticError(
-                "deterministic descent count is not an integer; this is a bug"
-            )
-        return moments, tuple(m if j == d else 0 for j in range(d1.n))
-    est = tuple(
-        normal_coefficient_estimate(d, moments, m) for d in range(d1.n)
-    )
-    return moments, est
-
-
-# ---------------------------------------------------------------------------
-# Tail extrapolation from a sampled histogram
-
-
-class TailFit(NamedTuple):
-    """Polynomial fit to log coefficient estimates over a degree window.
-
-    `coefficients[k]` multiplies (d - center)^k in the log-scale model.
-    `residual_rms` is the root mean square log residual over the window.
-    """
-
-    window: tuple[int, int]
-    degree: int
-    center: Fraction
-    coefficients: tuple[Fraction, ...]
-    residual_rms: float
-    min_count: int
-
-    def log_predict(self, d: int | float) -> float:
-        return _log_model(self.coefficients, self.center, d)
-
-    def predict(self, d: int | float) -> float:
-        """Estimated coefficient at degree `d` (may be far from the window)."""
-        return math.exp(self.log_predict(d))
-
-
-def _log_model(
-    coefficients: tuple[Fraction, ...], center: Fraction, d: int | float
-) -> float:
-    """sum_k coefficients[k] * (d - center)^k, by Horner's rule in floats."""
-    u = float(Fraction(d) - center)
-    acc = 0.0
-    for c in reversed(coefficients):
-        acc = acc * u + float(c)
-    return acc
-
-
-def _solve_rational(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction]:
-    """Exact Gaussian elimination with partial pivoting."""
-    m = len(rhs)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(m):
-        pivot = max(range(col, m), key=lambda r: abs(aug[r][col]))
-        if aug[pivot][col] == 0:
-            raise ArithmeticError("singular normal equations")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][m] for i in range(m)]
-
-
-def _fit_window(counts: tuple[int, ...], min_count: int) -> tuple[int, int]:
-    """Longest contiguous run of degrees with at least `min_count` samples.
-
-    Ties go to the lowest starting degree.
-    """
-    best = None
-    d = 0
-    n = len(counts)
-    while d < n:
-        if counts[d] < min_count:
-            d += 1
-            continue
-        start = d
-        while d < n and counts[d] >= min_count:
-            d += 1
-        if best is None or d - start > best[1] - best[0] + 1:
-            best = (start, d - 1)
-    if best is None:
-        raise CapExceededError(
-            f"no degree reaches {min_count} samples; cannot place a fit window"
-        )
-    return best
-
-
-def tail_extrapolate(
-    hist: DescentHistogram,
-    degree: int = 4,
-    min_count: int = 400,
-    window: tuple[int, int] | None = None,
-) -> TailFit:
-    """Fit log coefficient estimates over the well-populated degrees.
-
-    The window defaults to the longest run of degrees with at least
-    `min_count` samples and must contain at least degree + 2 points.
-    The least-squares system is solved in exact rational arithmetic on
-    degree values centered at the window midpoint; only the logarithms
-    themselves are floating point.  Raises `ValueError` for a negative
-    degree.
-    """
-    if degree < 0:
-        raise ValueError(f"fit degree must be at least 0, got {degree}")
-    if window is None:
-        window = _fit_window(hist.counts, min_count)
-    lo, hi = window
-    if not 0 <= lo <= hi < hist.n:
-        raise ValueError(f"window {window} out of range")
-    points = [d for d in range(lo, hi + 1) if hist.counts[d] > 0]
-    if len(points) < degree + 2:
-        raise CapExceededError(
-            f"window {window} has {len(points)} usable degrees; "
-            f"a degree-{degree} fit needs at least {degree + 2}"
-        )
-    estimates = hist.coefficient_estimates()
-    center = Fraction(sum(points), len(points))
-    ys = [Fraction(math.log(float(estimates[d]))) for d in points]
-    us = [Fraction(d) - center for d in points]
-    m = degree + 1
-    moments = [sum(u**k for u in us) for k in range(2 * m - 1)]
-    matrix = [[moments[r + c] for c in range(m)] for r in range(m)]
-    rhs = [sum(y * u**r for y, u in zip(ys, us)) for r in range(m)]
-    beta = tuple(_solve_rational(matrix, rhs))
-    sq = 0.0
-    for d, y in zip(points, ys):
-        r = float(y) - _log_model(beta, center, d)
-        sq += r * r
-    return TailFit(
-        window=(lo, hi),
-        degree=degree,
-        center=center,
-        coefficients=beta,
-        residual_rms=math.sqrt(sq / len(points)),
-        min_count=min_count,
-    )
+    _float_count(m, "transition count")
+    mean, variance = _moment_sums(d1.cards, _target_statistics(d2, stats))
+    moments = DescentMoments(d1.n, Fraction(*mean), Fraction(*variance))
+    return moments, _normal_vector(d1.n, mean, variance, m)

@@ -33,9 +33,9 @@ from .deck import Deck, parse_deck
 from .errors import RiffmixError
 from .tvd import (
     Scenario,
+    _exact_excess,
     custom_scenario,
     distinct_scenario,
-    exact_tvd_curve,
     mc_tvd_curve,
     riffles_to_packets,
     scenario,
@@ -175,11 +175,13 @@ def _deck_arg(text: str) -> Deck:
 
 
 def _exact_rows(s: Scenario, shuffles: list[int], **caps: int) -> list[ResultRow]:
-    """One `exact_tvd_curve` row per riffle count of `shuffles`."""
-    values = exact_tvd_curve(s, [riffles_to_packets(k) for k in shuffles], **caps)
+    """One exact row per riffle count of `shuffles`.  Each value is the
+    true division of one `_exact_excess` pair, which Python rounds
+    correctly: bit for bit the float of `exact_tvd_curve`'s `Fraction`."""
+    pairs = _exact_excess(s, [riffles_to_packets(k) for k in shuffles], **caps)
     return [
-        ResultRow(scenario=s.name, shuffles=k, method="exact", value=float(v))
-        for k, v in zip(shuffles, values)
+        ResultRow(scenario=s.name, shuffles=k, method="exact", value=num / den)
+        for k, (num, den) in zip(shuffles, pairs)
     ]
 
 

@@ -30,7 +30,7 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Sequence
-from functools import partial
+from functools import partial, reduce
 from typing import TYPE_CHECKING, NamedTuple
 
 from .deck import (
@@ -42,6 +42,7 @@ from .deck import (
     enumerate_arrangements,
     parse_deck,
     sample_uniform_rearrangement,
+    transition_cardinality,
 )
 from .errors import CapExceededError
 from .rng import PURPOSE_TVD, PermutationStream
@@ -190,7 +191,26 @@ def exact_tvd_curve(
     transition_cap: int = 10**8,
 ) -> list[Fraction]:
     """Sum the distance exactly over every arrangement, at each packet
-    count in `packets`.
+    count in `packets`: the `Fraction`s of the pairs of `_exact_excess`,
+    which documents the routes and caps."""
+    from fractions import Fraction
+
+    return [
+        Fraction(*pair)
+        for pair in _exact_excess(s, packets, arrangement_cap, transition_cap)
+    ]
+
+
+def _exact_excess(
+    s: Scenario,
+    packets: Sequence[int],
+    arrangement_cap: int = 10**6,
+    transition_cap: int = 10**8,
+) -> list[tuple[int, int]]:
+    """The exact distance from uniform at each packet count in `packets`,
+    as an unreduced (num, den) int pair: the summed excess of uniform
+    over the shuffle, times N * a^n, and N * a^n itself.  Its true
+    division is the correctly rounded float of the distance.
 
     The deck alone picks the route: distinct cards take the closed form,
     other block decks (each label's cards together) one DP over all
@@ -203,8 +223,6 @@ def exact_tvd_curve(
     when the transition set exceeds `transition_cap`, since the sweep and
     the per-arrangement route enumerate it.  The caps pick no route.
     """
-    from fractions import Fraction
-
     from .shuffle import eulerian_row, shuffle_weights
 
     n = s.anchor.n
@@ -248,9 +266,7 @@ def exact_tvd_curve(
         for i, gap in enumerate(_gaps(row, weighted, count)):
             if gap > 0:
                 excess[i] += times * gap
-    return [
-        Fraction(e, count * denom) for e, (_, denom) in zip(excess, weighted)
-    ]
+    return [(e, count * denom) for e, (_, denom) in zip(excess, weighted)]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +371,7 @@ def _histogram_coefficients(
     estimates = hist.coefficient_estimates()
     if not extrapolate:
         return estimates
-    from .approx import tail_extrapolate
+    from .tailfit import tail_extrapolate
 
     try:
         fit = tail_extrapolate(
@@ -379,40 +395,58 @@ def _normal_coefficients(
     s: Scenario,
     counterpart: Deck,
     stats: PairStatistics | None,
+    cardinality: int,
     unproven: list[tuple[str, ...]],
 ) -> tuple[int, ...] | tuple[float, ...]:
-    """`normal_polynomial_estimate` of one pair.  `stats` is the target's,
-    when every counterpart shares one target.  The cards of a counterpart
-    whose curve has no proven error bound are appended to `unproven`."""
-    from .approx import normal_error_bound_applies, normal_polynomial_estimate
+    """`normal_polynomial_estimate`'s vector for one pair, from the int
+    moments of `approx._moment_sums`.  `stats` is the target's, when every
+    counterpart shares one target, and `cardinality` every pair's
+    transition count.  The cards of a counterpart whose curve has no
+    proven error bound are appended to `unproven`."""
+    from .approx import PairStatistics, _bound_applies, _moment_sums, _normal_vector
 
-    moments, estimates = normal_polynomial_estimate(*s.pair(counterpart), stats)
-    if moments.variance and not normal_error_bound_applies(moments):
+    source, target = s.pair(counterpart)
+    mean, variance = _moment_sums(source.cards, stats or PairStatistics(target))
+    if variance[0] and not _bound_applies(mean, variance):
         unproven.append(counterpart.cards)
-    return estimates
+    return _normal_vector(source.n, mean, variance, cardinality)
+
+
+def _scaled_weights(
+    weighted: list[tuple[tuple[int, ...], int]],
+) -> list[tuple[float, ...]]:
+    """Each `shuffle_weights` pair (w, a^n) of `weighted` as the floats
+    w_d / a^n of its nonzero weights.  These are the degrees below a, as
+    the weight of degree d vanishes from d = a on, and a zero term would
+    leave a float sum as it is."""
+    return [tuple([w / denom for w in weights if w]) for weights, denom in weighted]
 
 
 def _terms(
-    coefficients: Sequence, weighted: list[tuple[tuple[int, ...], int]], count: int
+    coefficients: Sequence,
+    weighted: list[tuple[tuple[int, ...], int]],
+    scaled: list[tuple[float, ...]],
+    count: int,
 ) -> list[float]:
     """One arrangement's share max(0, 1 - N * P) of the distance at each
     `shuffle_weights` pair of `weighted`.  Vectors of ints or `Fraction`s
     are scored exactly by `_gaps`, then rounded once by the true division
     gap / a^n: of ints, which Python rounds correctly, or of a `Fraction`,
     whose `float` is that same int division.  Float vectors are summed in
-    degree order, each weight taken over a^n first."""
+    degree order against `scaled`, the `_scaled_weights` of `weighted`, so
+    each weight is taken over a^n once per curve, not once per pair."""
     if not isinstance(coefficients[0], float):
         return [
             float(gap / denom) if gap > 0 else 0.0
             for gap, (_, denom) in zip(_gaps(coefficients, weighted, count), weighted)
         ]
-    terms = []
-    for weights, denom in weighted:
-        p = 0.0
-        for c, w in zip(coefficients, weights):
-            p += c * (w / denom)
-        terms.append(max(0.0, 1 - count * p))
-    return terms
+    # A left fold from 0.0 adds the products in degree order, as a loop
+    # would; `sum` may not, since Python 3.12 compensates float sums.
+    dot = partial(reduce, operator.add)
+    return [
+        max(0.0, 1 - count * dot(map(operator.mul, coefficients, w), 0.0))
+        for w in scaled
+    ]
 
 
 BACKENDS = ("exact-oracle", "mc-histogram", "normal-approx")
@@ -499,13 +533,21 @@ def mc_tvd_curve(
             unfitted=unfitted,
         )
     elif backend == "normal-approx":
-        from .approx import PairStatistics
+        from .approx import PairStatistics, _float_count
 
         method = "normal"
         unproven = []
+        # Counts beyond the float range are refused before any draw: every
+        # pair's transition count, and, when a pair can have a float
+        # vector (more than one transition), N, which scores it.
+        m = transition_cardinality(s.anchor, s.anchor)
+        _float_count(m, "transition count")
+        if m > 1:
+            _float_count(s.arrangements, "arrangement count")
         coefficients = partial(
             _normal_coefficients,
             stats=PairStatistics(s.anchor) if s.kind == FIXED_TARGET else None,
+            cardinality=m,
             unproven=unproven,
         )
     else:
@@ -513,6 +555,7 @@ def mc_tvd_curve(
     from .shuffle import shuffle_weights
 
     weighted = [shuffle_weights(s.anchor.n, a) for a in packets]
+    scaled = _scaled_weights(weighted)
     count = s.arrangements
     gen = PermutationStream(seed, PURPOSE_TVD)
     counterparts = (sample_uniform_rearrangement(s.anchor, gen) for _ in range(k))
@@ -525,7 +568,7 @@ def mc_tvd_curve(
         terms = memo.get(counterpart.cards)
         if terms is None:
             coeffs = coefficients(s, counterpart)
-            terms = memo[counterpart.cards] = _terms(coeffs, weighted, count)
+            terms = memo[counterpart.cards] = _terms(coeffs, weighted, scaled, count)
             if uninformed is not None:
                 for e, a in enumerate(packets):
                     uninformed[e] += not any(coeffs[:a])

@@ -30,6 +30,7 @@ from riffmix import (
     tail_extrapolate,
     transition_cardinality,
 )
+from riffmix.approx import _bound_applies, _moment_sums
 from riffmix.rng import substream
 
 
@@ -148,7 +149,7 @@ class TestFullSizeMoments:
         mom = descent_moments(d1, d2)
         assert (mom.mean, mom.variance) == (Fraction(mean), Fraction(variance))
 
-    @pytest.mark.parametrize("name", ["Bridge1", "AliceBob1"])
+    @pytest.mark.parametrize("name", ["Bridge1", "Bridge2", "AliceBob1", "AliceBob2"])
     def test_shared_statistics_match_fresh_ones(self, name):
         s = scenario(name)
         stats = PairStatistics(s.anchor)
@@ -156,6 +157,33 @@ class TestFullSizeMoments:
         for _ in range(20):
             d1, d2 = s.pair(sample_uniform_rearrangement(s.anchor, gen))
             assert descent_moments(d1, d2, stats) == descent_moments(d1, d2)
+
+    @pytest.mark.parametrize("name", [row[0] for row in FULL_SIZE_MOMENTS])
+    def test_one_pass_vector_is_the_per_degree_estimate(self, name):
+        # `normal_polynomial_estimate` evaluates each cell edge once; every
+        # degree must still be `normal_coefficient_estimate`'s, bit for bit.
+        s = scenario(name)
+        d1, d2 = s.pair(sample_uniform_rearrangement(s.anchor, substream(2024, 901)))
+        mom, est = normal_polynomial_estimate(d1, d2)
+        total = transition_cardinality(d1, d2)
+        if mom.variance == 0:
+            assert est == exact_descent_polynomial(d1, d2).coefficients
+            return
+        want = [normal_coefficient_estimate(d, mom, total) for d in range(d1.n)]
+        assert [e.hex() for e in est] == [w.hex() for w in want]
+
+    @pytest.mark.parametrize("name", [row[0] for row in FULL_SIZE_MOMENTS])
+    def test_int_moments_are_the_fraction_moments(self, name):
+        # The sampling route keeps the moments as int (num, den) pairs and
+        # tests the error bound by cross-multiplying.
+        s = scenario(name)
+        gen = substream(2026, 901)
+        for _ in range(5):
+            d1, d2 = s.pair(sample_uniform_rearrangement(s.anchor, gen))
+            mean, variance = _moment_sums(d1.cards, PairStatistics(d2))
+            mom = descent_moments(d1, d2)
+            assert (Fraction(*mean), Fraction(*variance)) == (mom.mean, mom.variance)
+            assert _bound_applies(mean, variance) == normal_error_bound_applies(mom)
 
 
 class TestPairStatistics:
@@ -277,6 +305,15 @@ class TestNormalEstimate:
         for bad in (-1, d1.n):
             with pytest.raises(ValueError):
                 normal_coefficient_estimate(bad, mom, total)
+
+    def test_transition_count_beyond_the_float_range_is_refused(self):
+        d1 = parse_deck("R^100,B^100")
+        d2 = parse_deck("(R,B)^100")
+        with pytest.raises(CapExceededError, match="transition count of about 10"):
+            normal_polynomial_estimate(d1, d2)
+        mom = DescentMoments(n=200, mean=Fraction(100), variance=Fraction(50))
+        with pytest.raises(CapExceededError, match="float range"):
+            normal_coefficient_estimate(100, mom, transition_cardinality(d1, d2))
 
 
 class TestErrorBoundFlag:

@@ -682,6 +682,53 @@ class TestExitCodes:
         assert code == 3
         assert err
 
+    SHOE = ",".join(f"{v}^24" for v in range(1, 14))
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            # A six-deck shoe: 24!^13, about 2e309 transitions.
+            (("tvd", "--deck", SHOE, "--kind", "fixed-source", "--method",
+              "mc-normal", "--k", "1", "--shuffles", "3"), "transition count"),
+            (("tvd", "--deck", "R^100,B^100", "--kind", "fixed-target",
+              "--method", "mc-normal", "--k", "1", "--shuffles", "3"),
+             "transition count"),
+            (("poly", "--source", "R^100,B^100", "--target", "(R,B)^100",
+              "--method", "normal"), "transition count"),
+            # 172!/3! arrangements, each a float vector scored against N.
+            (("tvd", "--deck", "1^3," + ",".join(map(str, range(2, 171))),
+              "--kind", "fixed-source", "--method", "mc-normal", "--k", "1",
+              "--shuffles", "3"), "arrangement count"),
+        ],
+        ids=["shoe", "red-black-100", "poly", "arrangements"],
+    )
+    def test_counts_beyond_the_float_range_exit_3_before_any_pair(
+        self, capsys, monkeypatch, argv, count
+    ):
+        import riffmix.approx
+
+        def unreachable(*args):
+            raise AssertionError("a pair was scored")
+
+        monkeypatch.setattr(riffmix.approx, "_moment_sums", unreachable)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"{count} of about 10^")
+        assert "exceeds the float range (at most 1.798e+308)" in err
+        assert err.count("\n") == 1
+
+    def test_distinct_cards_beyond_the_float_range_still_score(self, capsys):
+        # One transition per pair: every vector is an exact point mass, and
+        # N = 200! is never made a float.
+        deck = ",".join(map(str, range(1, 201)))
+        code, out, _ = run(
+            capsys, "tvd", "--deck", deck, "--kind", "fixed-source",
+            "--method", "mc-normal", "--k", "2", "--shuffles", "8",
+        )
+        assert code == 0
+        _, body = csv_body(out)
+        assert 0 < ResultRow.from_csv(body[0]).value <= 1
+
 
 def exits(capsys, parse, argv):
     """The stdout, stderr and exit code of `parse(argv)`, which must exit."""

@@ -40,7 +40,7 @@ def _loaded_modules(code: str) -> list[str]:
 
 # Modules outside the package whose loading `_probe` reports: numpy, and
 # standard modules that cost start-up time.
-_WATCHED = ("dataclasses", "fractions", "inspect", "numpy")
+_WATCHED = ("dataclasses", "decimal", "fractions", "inspect", "numpy")
 
 
 def _probe(code: str) -> str:
@@ -88,6 +88,9 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
     # Records are named tuples or plain classes, so no command below
     # loads `dataclasses`, nor the `inspect` it imports.
     slow = ("dataclasses", "inspect")
+    # Commands that score in ints or floats alone build no `Fraction`, so
+    # they load neither `fractions` nor the `decimal` it imports.
+    exact_types = ("decimal", "fractions")
     # Set-up alone (a scenario resolved, then an empty shuffle range) and
     # the normal backend run no descent-polynomial engine.  numpy loads only
     # where a vectorized engine runs, so these leave it unloaded.
@@ -108,8 +111,10 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
         assert "riffmix.tvd" in loaded
         assert "numpy" not in loaded, argv
         assert [m for m in slow if m in loaded] == [], argv
-        # Set-up builds no exact value.
-        assert ("fractions" in loaded) == ("mc-normal" in argv), argv
+        # The normal backend keeps its moments as int pairs, and fits no
+        # histogram tail.
+        assert [m for m in exact_types if m in loaded] == [], argv
+        assert "riffmix.tailfit" not in loaded, argv
     # On a block deck, in either kind, the exact backend runs the block-deck
     # walk and scores its int rows without fractions: it loads neither the
     # enumeration module, nor the table engine, nor the histogram cache.
@@ -124,10 +129,9 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
             "riffmix.codes",
             "riffmix.descentpoly",
             "riffmix.tables",
-            "fractions",
             "numpy",
         )
-        assert [m for m in unused + slow if m in loaded] == [], kind
+        assert [m for m in unused + slow + exact_types if m in loaded] == [], kind
     # A deck that is not a block deck leaves pairs to enumerate.
     argv = ["tvd", "--deck", "1,2,1,2,3", "--kind", "fixed-source"]
     argv += ["--shuffles", "2", "--method", "mc-exact", "--k", "2"]
@@ -137,7 +141,7 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
     argv = ["bd", "--n", "52", "--shuffles", "5..8"]
     loaded = _command_modules(argv, 0)
     unused = ("riffmix.blockfamily", "riffmix.descentpoly", "numpy")
-    assert [m for m in unused + slow if m in loaded] == []
+    assert [m for m in unused + slow + exact_types if m in loaded] == []
     argv = ["poly", "--source", "1^2,2^2", "--target", "1,2,1,2", "--format", "text"]
     loaded = _command_modules(argv, 0)
     assert "riffmix.cli_poly" in loaded
@@ -160,7 +164,7 @@ def test_importing_the_cli_leaves_unused_layers_unloaded():
         loaded = _command_modules(argv, 0)
         assert "riffmix.blockfamily" in loaded
         unused = ("riffmix.descentpoly", "riffmix.tables", "numpy")
-        assert [m for m in unused + slow if m in loaded] == [], kind
+        assert [m for m in unused + slow + exact_types if m in loaded] == [], kind
     # Instance reductions and complementation classes are integer
     # combinatorics.
     for argv in (
@@ -327,7 +331,7 @@ _RECORDS = (
         {"n": 3, "mean": Fraction(2, 3), "variance": Fraction(2, 9)},
     ),
     (
-        "approx",
+        "tailfit",
         "TailFit",
         {
             "window": (1, 4),

@@ -19,6 +19,8 @@ from riffmix import (  # noqa: E402
     enumerate_arrangements,
     exact_descent_polynomial,
     exact_tvd_curve,
+    normal_coefficient_estimate,
+    normal_polynomial_estimate,
     parse_deck,
     probability_from_coefficients,
     sample_uniform_rearrangement,
@@ -141,3 +143,16 @@ def test_permutation_stream_matches_numpy(seed, path, sizes):
     theirs = substream(seed, *path)
     for n in sizes:
         assert ours.permutation(n) == theirs.permutation(n).tolist()
+
+
+@small
+@given(wide_pairs)
+def test_one_pass_normal_vector_is_the_per_degree_estimate(pair):
+    # One CDF point per cell edge gives each degree the per-degree value.
+    mom, est = normal_polynomial_estimate(*pair)
+    total = transition_cardinality(*pair)
+    if mom.variance == 0:
+        assert est == exact_descent_polynomial(*pair).coefficients
+        return
+    want = [normal_coefficient_estimate(d, mom, total) for d in range(mom.n)]
+    assert [e.hex() for e in est] == [w.hex() for w in want]

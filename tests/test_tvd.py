@@ -34,7 +34,14 @@ from riffmix import (
 )
 from riffmix.rng import PURPOSE_TVD, substream
 from riffmix.shuffle import shuffle_weights
-from riffmix.tvd import _deck_fingerprint, _gaps, _terms, distinct_scenario
+from riffmix.tvd import (
+    _deck_fingerprint,
+    _exact_excess,
+    _gaps,
+    _scaled_weights,
+    _terms,
+    distinct_scenario,
+)
 
 
 def riffle_result(cards, digits, a):
@@ -355,6 +362,28 @@ class TestMcTvd:
         assert [est.unproven for est in curve] == [40] * 4
 
     @pytest.mark.parametrize(
+        "name, values",
+        [
+            ("Bridge2", [1.0, 0.0, 0.009372302088757242, 0.013464313655332063,
+                         0.009194194624759561, 0.005242126253125803]),
+            ("AliceBob2", [1.0, 0.0, 0.0, 0.0, 0.0002898234367427283,
+                           0.0005759061073245198]),
+            ("Blackjack2", [1.0, 0.738436550757435, 0.5448347185976302,
+                            0.26243921528966385, 0.12654876514108862,
+                            0.06262720759996962]),
+        ],
+    )
+    def test_normal_backend_values_up_to_256_packets_are_pinned(self, name, values):
+        # The interleaved scenarios, two fixed-target with shared target
+        # statistics and one fixed-source with fresh ones, compared exactly.
+        curve = mc_tvd_curve(
+            scenario(name), [8, 16, 32, 64, 128, 256], k=40, seed=11,
+            backend="normal-approx",
+        )
+        assert [est.value for est in curve] == values
+        assert [est.unproven for est in curve] == [40] * 6
+
+    @pytest.mark.parametrize(
         "deck, kind, options, values",
         [
             # Integer vectors.
@@ -567,5 +596,49 @@ def test_exact_terms_are_the_fraction_terms_bit_for_bit(n, shuffles):
             float(Fraction(gap, d)) if gap > 0 else 0.0
             for gap, (_, d) in zip(_gaps(row, weighted, count), weighted)
         ]
-        got = _terms(row, weighted, count)
+        got = _terms(row, weighted, _scaled_weights(weighted), count)
         assert [t.hex() for t in got] == [t.hex() for t in want], (row, count)
+
+
+@pytest.mark.parametrize("n, shuffles", [(5, range(6)), (52, range(1, 11))])
+def test_float_terms_take_each_weight_over_a_n_once_per_curve(n, shuffles):
+    # Float vectors are summed against weights divided by a^n once per
+    # curve; each term must be the one of dividing them for every pair.
+    weighted = [shuffle_weights(n, 2**s) for s in shuffles]
+    scaled = _scaled_weights(weighted)
+    gen = random.Random(n)
+    for case in range(200):
+        row = [gen.random() * 10 ** gen.randrange(0, 60) for _ in range(n)]
+        for d in gen.sample(range(n), gen.randrange(n)):
+            row[d] = 0.0
+        row[0] = gen.random()  # every weight is positive at degree 0
+        ps = []
+        for weights, denom in weighted:
+            p = 0.0
+            for c, w in zip(row, weights):
+                p += c * (w / denom)
+            ps.append(p)
+        # A count that puts N * P near 1 at one packet count.
+        count = max(1, int(gen.uniform(0.2, 1.8) / gen.choice(ps)))
+        want = [max(0.0, 1 - count * p) for p in ps]
+        got = _terms(row, weighted, scaled, count)
+        assert [t.hex() for t in got] == [t.hex() for t in want], case
+
+
+@pytest.mark.parametrize(
+    "deck, kind",
+    [
+        ("1^2,2^2,3^2,4^2,5", FIXED_SOURCE),
+        ("1^2,2^2,3^2,4^2,5", FIXED_TARGET),
+        ("1,2,1,2,3", FIXED_SOURCE),
+        (",".join(map(str, range(1, 53))), FIXED_SOURCE),
+    ],
+)
+def test_exact_pairs_divide_to_the_fraction_floats(deck, kind):
+    # The CLI scores each exact value as one true division of its int
+    # pair; that must be the float of `exact_tvd_curve`'s Fraction.
+    s = custom_scenario(deck, kind)
+    packets = [1, 2, 3, 4, 8, 16, 64, 2**40]
+    got = [num / den for num, den in _exact_excess(s, packets)]
+    want = [float(v) for v in exact_tvd_curve(s, packets)]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
